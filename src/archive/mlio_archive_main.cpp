@@ -299,9 +299,12 @@ int cmd_ingest(const Args& a, util::Vfs& vfs) {
 int cmd_query_window(const Args& a, util::Vfs& vfs) {
   archive::Archive ar = archive::Archive::open(a.dir, vfs);
   archive::QueryOptions opts;
+  opts.threads = a.threads;
+  opts.last_windows = a.last_windows;
+  opts.write_snapshots = a.write_snapshots;
   opts.mlp_depth = a.mlp_depth;
-  archive::WindowSelection sel;
-  const archive::QueryResult q = archive::query_window(ar, a.last_windows, opts, &sel);
+  const archive::QueryResult q = query_archive(ar, opts);
+  const archive::WindowSelection& sel = q.windows;
   const core::Analysis& an = q.analysis;
 
   util::Table t({"metric", "value"});
@@ -465,6 +468,9 @@ int cmd_serve_follow(const Args& a, util::Vfs& vfs) {
       static_cast<unsigned long long>(rep.compactor_errors),
       static_cast<unsigned long long>(rep.final_partitions),
       static_cast<unsigned long long>(rep.newest_window));
+  if (rep.compactor_errors > 0) {
+    std::printf("compactor last error: %s\n", svc.compactor_last_error().c_str());
+  }
   std::printf("verified %llu generation(s): %s; %llu deferred-GC file(s) pending\n",
               static_cast<unsigned long long>(rep.verified_generations),
               rep.divergent == 0 ? "all windowed answers match serial replay"

@@ -74,7 +74,12 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScrat
   const auto t0 = SteadyClock::now();
   QueryResult result;
   QueryStats& stats = result.stats;
-  const std::vector<PartitionInfo> partitions = archive.manifest().partitions;
+  // Copy the selected entries so a reload under the caller's feet cannot
+  // move them; every pass below runs over the selection alone.
+  const std::vector<PartitionInfo>& all = archive.manifest().partitions;
+  result.windows = select_last_windows(archive.manifest(), opts.last_windows);
+  const std::vector<PartitionInfo> partitions(
+      all.begin() + static_cast<std::ptrdiff_t>(result.windows.first), all.end());
   stats.partitions = partitions.size();
 
   util::ThreadPool pool(opts.threads);
@@ -240,53 +245,6 @@ WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_window
     sel.windows_covered = sel.newest_window - wmin + 1;
   }
   return sel;
-}
-
-QueryResult query_window(Archive& archive, std::uint64_t last_windows, const QueryOptions& opts,
-                         WindowSelection* selection) {
-  const auto t0 = SteadyClock::now();
-  QueryResult result;
-  QueryStats& stats = result.stats;
-  // Copy the entries so a reload under the caller's feet cannot move them.
-  const std::vector<PartitionInfo> partitions = archive.manifest().partitions;
-  const WindowSelection sel = select_last_windows(archive.manifest(), last_windows);
-  if (selection != nullptr) *selection = sel;
-  stats.partitions = sel.count;
-
-  Archive::ScanScratch scan_scratch;
-  core::AnalyzeScratch analyze_scratch;
-  ScanOptions scan_opts;
-  scan_opts.mlp_depth = opts.mlp_depth;
-  scan_opts.read_options.seed_compat_parse = opts.seed_compat;
-  for (std::size_t i = sel.first; i < partitions.size(); ++i) {
-    const PartitionInfo& p = partitions[i];
-    std::optional<core::Analysis> shard;
-    try {
-      shard = archive.load_snapshot(p);
-      if (shard.has_value()) {
-        stats.snapshot_hits += 1;
-      } else {
-        core::Analysis rebuilt;
-        std::uint64_t logs = 0;
-        archive.scan_partition(
-            p,
-            [&](const darshan::LogData& log) {
-              rebuilt.add(log, analyze_scratch);
-              logs += 1;
-            },
-            scan_scratch, scan_opts);
-        stats.partitions_scanned += 1;
-        stats.logs_scanned += logs;
-        shard = std::move(rebuilt);
-      }
-    } catch (...) {
-      rethrow_rebuild_error(archive, p, std::current_exception());
-    }
-    result.analysis.merge(*shard);
-  }
-  stats.full_merges = 1;
-  stats.total_seconds = seconds_since(t0);
-  return result;
 }
 
 core::LoadTimeline window_timeline(const Archive& archive, const Manifest& m,

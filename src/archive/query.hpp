@@ -1,9 +1,11 @@
 // Incremental, snapshot-cached query engine over a partitioned archive.
 //
-// A query builds one core::Analysis shard per partition — from the cached
-// snapshot when it is valid (present, CRC-clean, stamped with the
-// partition's current data generation), otherwise by rescanning the
-// segment — and merges the shards in manifest partition order.
+// A query builds one core::Analysis shard per selected partition — every
+// partition, or with QueryOptions::last_windows only the suffix covering the
+// last N time windows — from the cached snapshot when it is valid (present,
+// CRC-clean, stamped with the partition's current data generation),
+// otherwise by rescanning the segment, and merges the shards in manifest
+// partition order.
 //
 // Determinism contract (DESIGN.md §6, §12): a partition's shard is the
 // sequential accumulation of its logs in ingest order, and shards merge in
@@ -52,8 +54,37 @@ class StaleReadError : public util::Error {
   std::uint64_t partition_id_;
 };
 
+/// The partition suffix answering "the last N windows" (DESIGN.md §14).
+/// Selection is PARTITION-granular: walking back from the manifest tail,
+/// every partition whose window_max reaches the cutoff is included, and the
+/// walk stops at the first that does not (batch partitions, window_max 0,
+/// always stop it).  At aligned window cuts the suffix is exactly the
+/// requested windows; after a leveled merge coarsened history across the
+/// cutoff, the suffix honestly widens (windows_covered reports the real
+/// span) rather than silently truncating merged logs.  Streaming appends in
+/// time order and compaction only merges neighbors, so window ranges are
+/// non-decreasing along the partition list and the suffix is well defined;
+/// on a hostile manifest the walk still terminates and stays in bounds.
+struct WindowSelection {
+  std::size_t first = 0;            ///< index of the first selected partition
+  std::size_t count = 0;            ///< selected partitions (suffix length)
+  std::uint64_t newest_window = 0;  ///< max window id in the manifest (0 = none)
+  std::uint64_t cutoff = 0;         ///< oldest window id requested; 0 = whole archive
+  std::uint64_t windows_covered = 0;  ///< window span actually selected
+  bool whole_archive() const { return first == 0; }
+};
+
+/// Pure function of (manifest, last_windows).  last_windows == 0, a request
+/// exceeding the archive's window span (out-of-range ids clamp, never
+/// overflow), or a manifest with no windowed partitions all select the
+/// whole archive.
+WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_windows);
+
 struct QueryOptions {
   unsigned threads = 0;  ///< 0 = hardware concurrency
+  /// Fold only the partition suffix covering the last N time windows
+  /// (select_last_windows); 0 = the whole archive.
+  std::uint64_t last_windows = 0;
   /// Write rebuilt shards back as snapshots so the next query is all cache
   /// hits.
   bool write_snapshots = true;
@@ -84,7 +115,7 @@ struct QueryScratch {
 /// through cache_hit_rate() — never through ad-hoc field sums — so "cache
 /// hit rate" means exactly one thing everywhere.
 struct QueryStats {
-  std::uint64_t partitions = 0;         ///< partitions in the queried manifest
+  std::uint64_t partitions = 0;         ///< partitions selected (the whole manifest unless windowed)
   std::uint64_t cache_hits = 0;         ///< shards served from the in-memory shared cache
   std::uint64_t snapshot_hits = 0;      ///< shards served from on-disk snapshots
   std::uint64_t partitions_scanned = 0; ///< shards rebuilt from segments
@@ -124,6 +155,7 @@ struct QueryStats {
 struct QueryResult {
   core::Analysis analysis;
   QueryStats stats;
+  WindowSelection windows;  ///< the partition suffix that was folded
 };
 
 QueryResult query_archive(Archive& archive, const QueryOptions& opts = {});
@@ -131,40 +163,6 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts = {});
 /// Scratch-reuse variant: per-worker buffers come from (and persist in)
 /// `scratch`.  Stats still cover only this query.
 QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScratch& scratch);
-
-/// The partition suffix answering "the last N windows" (DESIGN.md §14).
-/// Selection is PARTITION-granular: walking back from the manifest tail,
-/// every partition whose window_max reaches the cutoff is included, and the
-/// walk stops at the first that does not (batch partitions, window_max 0,
-/// always stop it).  At aligned window cuts the suffix is exactly the
-/// requested windows; after a leveled merge coarsened history across the
-/// cutoff, the suffix honestly widens (windows_covered reports the real
-/// span) rather than silently truncating merged logs.  Streaming appends in
-/// time order and compaction only merges neighbors, so window ranges are
-/// non-decreasing along the partition list and the suffix is well defined;
-/// on a hostile manifest the walk still terminates and stays in bounds.
-struct WindowSelection {
-  std::size_t first = 0;            ///< index of the first selected partition
-  std::size_t count = 0;            ///< selected partitions (suffix length)
-  std::uint64_t newest_window = 0;  ///< max window id in the manifest (0 = none)
-  std::uint64_t cutoff = 0;         ///< oldest window id requested; 0 = whole archive
-  std::uint64_t windows_covered = 0;  ///< window span actually selected
-  bool whole_archive() const { return first == 0; }
-};
-
-/// Pure function of (manifest, last_windows).  last_windows == 0, a request
-/// exceeding the archive's window span (out-of-range ids clamp, never
-/// overflow), or a manifest with no windowed partitions all select the
-/// whole archive.
-WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_windows);
-
-/// Fold ONLY the selected suffix's shards (valid snapshot else rescan), in
-/// manifest order — the windowed Table 2.  Cost is proportional to the
-/// window, not the archive.  Serial by design: windows are small; the
-/// whole-archive engine above is the parallel path.  Writes no snapshots.
-/// `selection`, when non-null, receives the evaluated WindowSelection.
-QueryResult query_window(Archive& archive, std::uint64_t last_windows,
-                         const QueryOptions& opts = {}, WindowSelection* selection = nullptr);
 
 /// Ops-view consumer of a window selection: replay the selected partitions'
 /// logs into a LoadTimeline (core/load_timeline.hpp).  `m` must be the

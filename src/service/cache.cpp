@@ -7,7 +7,7 @@
 
 namespace mlio::service {
 
-std::size_t SnapshotCache::KeyHash::operator()(const CacheKey& k) const {
+std::size_t CacheKeyHash::operator()(const CacheKey& k) const {
   std::uint64_t state = k.partition_id * 0x9e3779b97f4a7c15ull + k.data_generation;
   return static_cast<std::size_t>(util::splitmix64(state));
 }
@@ -106,94 +106,68 @@ std::size_t SnapshotCache::purge(const std::function<bool(const CacheKey&)>& sta
 MergedResultCache::MergedResultCache(const Options& opts)
     : capacity_bytes_(opts.capacity_bytes), max_entries_(std::max<std::size_t>(1, opts.max_entries)) {}
 
-std::shared_ptr<const MergedResult> MergedResultCache::get(std::uint64_t generation) {
-  if (!enabled()) return nullptr;
-  const std::scoped_lock lock(mu_);
-  counters_.lookups += 1;
-  const auto it = index_.find(generation);
-  if (it == index_.end()) {
-    counters_.misses += 1;
-    return nullptr;
-  }
-  counters_.hits += 1;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->value;
-}
-
-std::shared_ptr<const MergedResult> MergedResultCache::best_prefix(
+std::shared_ptr<const MergedResult> MergedResultCache::lookup(
     std::span<const CacheKey> identity) {
   if (!enabled()) return nullptr;
   const std::scoped_lock lock(mu_);
+  counters_.lookups += 1;
   auto best = lru_.end();
   std::size_t best_len = 0;
   for (auto it = lru_.begin(); it != lru_.end(); ++it) {
     const std::vector<CacheKey>& id = it->value->identity;
-    if (id.empty() || id.size() > identity.size() || id.size() <= best_len) continue;
+    if (id.size() > identity.size() || id.size() <= best_len) continue;
     if (std::equal(id.begin(), id.end(), identity.begin())) {
       best = it;
       best_len = id.size();
     }
   }
-  if (best == lru_.end()) return nullptr;
-  counters_.prefix_hits += 1;
+  if (best == lru_.end()) {
+    counters_.misses += 1;
+    return nullptr;
+  }
+  if (best_len == identity.size()) {
+    counters_.hits += 1;
+  } else {
+    counters_.misses += 1;
+    counters_.prefix_hits += 1;
+  }
   lru_.splice(lru_.begin(), lru_, best);
   return best->value;
 }
 
-bool MergedResultCache::insert(std::uint64_t generation,
-                               std::shared_ptr<const MergedResult> value,
+bool MergedResultCache::insert(std::shared_ptr<const MergedResult> value,
                                std::uint64_t size_bytes) {
   if (!enabled()) return false;
   const std::scoped_lock lock(mu_);
-  if (const auto it = index_.find(generation); it != index_.end()) {
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return true;  // concurrent readers raced to memoize the same generation
+  for (auto it = lru_.begin(); it != lru_.end(); ++it) {
+    if (it->value->identity == value->identity) {
+      lru_.splice(lru_.begin(), lru_, it);
+      return true;  // concurrent readers raced to memoize the same answer
+    }
   }
   if (size_bytes > capacity_bytes_) {
     counters_.rejected += 1;
     return false;
   }
-
-  // Admission mirrors SnapshotCache: walk would-be victims from the cold
-  // end; reject the candidate if they are costlier to recompute than it is.
-  // Costs are cumulative from scratch, so an answer extended incrementally
-  // from an ancestor always outbids that ancestor.
-  std::uint64_t victim_bytes = 0;
-  std::uint64_t victim_cost = 0;
-  std::size_t victims = 0;
-  for (auto it = lru_.rbegin(); bytes_used_ - victim_bytes + size_bytes > capacity_bytes_ ||
-                                lru_.size() - victims + 1 > max_entries_;
-       ++it, ++victims) {
-    victim_bytes += it->size_bytes;
-    victim_cost += it->value->cost_ns;
-    if (victim_cost > value->cost_ns) {
-      counters_.rejected += 1;
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < victims; ++i) {
-    const Entry& victim = lru_.back();
-    bytes_used_ -= victim.size_bytes;
-    index_.erase(victim.generation);
+  while (!lru_.empty() &&
+         (bytes_used_ + size_bytes > capacity_bytes_ || lru_.size() >= max_entries_)) {
+    bytes_used_ -= lru_.back().size_bytes;
     lru_.pop_back();
     counters_.evictions += 1;
   }
-
-  lru_.push_front(Entry{generation, std::move(value), size_bytes});
-  index_.emplace(generation, lru_.begin());
+  lru_.push_front(Entry{std::move(value), size_bytes});
   bytes_used_ += size_bytes;
   counters_.insertions += 1;
   return true;
 }
 
-std::size_t MergedResultCache::purge(
-    const std::function<bool(std::uint64_t, const MergedResult&)>& stale) {
+std::size_t MergedResultCache::purge(const std::function<bool(const CacheKey&)>& stale) {
   const std::scoped_lock lock(mu_);
   std::size_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (stale(it->generation, *it->value)) {
+    const std::vector<CacheKey>& id = it->value->identity;
+    if (std::any_of(id.begin(), id.end(), stale)) {
       bytes_used_ -= it->size_bytes;
-      index_.erase(it->generation);
       it = lru_.erase(it);
       counters_.purged += 1;
       dropped += 1;

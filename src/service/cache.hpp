@@ -47,6 +47,10 @@ struct CacheKey {
   bool operator==(const CacheKey&) const = default;
 };
 
+struct CacheKeyHash {
+  std::size_t operator()(const CacheKey& k) const;
+};
+
 /// Monotonic counters describing the cache's whole life (snapshot taken
 /// under the shard locks, so the reconciliation invariant holds exactly).
 struct CacheCounters {
@@ -59,9 +63,8 @@ struct CacheCounters {
   std::uint64_t purged = 0;    ///< entries dropped by generation purge
   std::uint64_t entries = 0;   ///< resident entries right now
   std::uint64_t bytes_used = 0;
-  /// Longest-prefix matches served by MergedResultCache::best_prefix —
-  /// counted apart from lookups/hits/misses, whose reconciliation invariant
-  /// covers exact-generation gets only.  Always 0 for SnapshotCache.
+  /// MergedResultCache misses that still found a shorter resident prefix to
+  /// extend (a subset of misses).  Always 0 for SnapshotCache.
   std::uint64_t prefix_hits = 0;
 };
 
@@ -103,15 +106,11 @@ class SnapshotCache {
     std::uint64_t cost_ns = 0;
   };
 
-  struct KeyHash {
-    std::size_t operator()(const CacheKey& k) const;
-  };
-
   /// One lock domain: LRU list (front = most recent) plus key index.
   struct Shard {
     mutable std::mutex mu;
     std::list<Entry> lru;
-    std::unordered_map<CacheKey, std::list<Entry>::iterator, KeyHash> index;
+    std::unordered_map<CacheKey, std::list<Entry>::iterator, CacheKeyHash> index;
     std::uint64_t bytes_used = 0;
     CacheCounters counters;  ///< entries/bytes_used maintained on the fly
   };
@@ -123,33 +122,29 @@ class SnapshotCache {
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 
-/// One memoized whole-archive answer: the merged analysis, its fingerprint,
-/// and the identity it was merged over.
+/// One memoized answer: the merged analysis, its fingerprint, and the
+/// identity it was merged over.
 struct MergedResult {
   std::shared_ptr<const core::Analysis> analysis;
   std::uint64_t fingerprint = 0;
-  /// (partition id, data generation) in manifest order — exactly the shards
-  /// folded, in the order they were folded.  The prefix-validity rule
-  /// (DESIGN.md §12) matches against this: a manifest whose partition list
-  /// starts with this identity can extend the answer incrementally, because
-  /// ingest only appends and the merge is a left fold.
+  /// (partition id, data generation) of exactly the shards folded, in the
+  /// order they were folded — the entry's key.  Shards are immutable, so
+  /// the answer is a pure function of this list, whichever manifest
+  /// generation or window request produced it.
   std::vector<CacheKey> identity;
-  /// Cumulative cost to produce this answer from scratch (parent entry's
-  /// cost plus the delta fold) — the admission currency, kept cumulative so
-  /// a cheap incremental extension never loses an eviction fight against
-  /// the expensive ancestor it supersedes.
-  std::uint64_t cost_ns = 0;
 };
 
-/// Bounded LRU memo of whole-archive merged answers keyed by manifest
-/// generation — the service-level generation-delta cache (DESIGN.md §12).
-/// A warm get() against an unchanged generation is one lookup here instead
-/// of P shard resolutions + P merges; after an ingest append, best_prefix()
-/// hands back the longest still-valid ancestor to extend.  Shares the
-/// SnapshotCache's discipline: byte-bounded LRU, cost-based admission
-/// (victims cheaper to recompute than the candidate), publish-time purge,
-/// and the same counter reconciliation invariants.  Generations are serial
-/// and few, so one lock domain suffices.
+/// Bounded LRU memo of merged answers keyed by identity — the service-level
+/// generation-delta cache (DESIGN.md §12).  One lookup returns the resident
+/// answer with the longest identity that is a prefix of the requested one:
+/// full length is a hit (one lookup instead of P shard resolutions and P
+/// merges); a shorter match is a prefix hit the caller extends by folding
+/// in only the missing shards, because ingest only appends and the merge is
+/// a left fold.  Eviction is plain LRU under a byte and an entry budget:
+/// identities of superseded generations and windows stay resident but are
+/// never asked for again, so recency, not recomputation cost, is what
+/// predicts reuse.  Entries are few, so one lock domain and a linear scan
+/// suffice.
 class MergedResultCache {
  public:
   struct Options {
@@ -157,7 +152,8 @@ class MergedResultCache {
     /// "linear in P" lane).
     std::uint64_t capacity_bytes = 64ull << 20;
     /// Resident answers kept (LRU beyond this evicts regardless of bytes);
-    /// a handful covers the live generation plus pinned stragglers.
+    /// a handful covers the live whole-archive and windowed answers plus
+    /// pinned stragglers.
     std::size_t max_entries = 4;
   };
 
@@ -165,38 +161,34 @@ class MergedResultCache {
 
   bool enabled() const { return capacity_bytes_ > 0; }
 
-  /// nullptr on miss; a hit refreshes the entry's LRU position.
-  std::shared_ptr<const MergedResult> get(std::uint64_t generation);
+  /// The resident answer with the LONGEST non-empty identity that is a
+  /// (possibly full-length) prefix of `identity`, or nullptr.  Counts one
+  /// lookup: a hit when the match is full length, otherwise a miss (and a
+  /// prefix hit when something shorter matched).  A match refreshes its
+  /// LRU position.
+  std::shared_ptr<const MergedResult> lookup(std::span<const CacheKey> identity);
 
-  /// The resident answer with the LONGEST identity that is a (possibly
-  /// full-length) prefix of `identity`, or nullptr.  Counted as
-  /// prefix_hits, not lookups — callers reach here only after get() missed.
-  std::shared_ptr<const MergedResult> best_prefix(std::span<const CacheKey> identity);
+  /// Offer an answer charged `size_bytes` (core::serialized_analysis_bytes of
+  /// the merged analysis), evicting least-recently-used entries to fit.
+  /// Returns false when it exceeds the whole budget.  Re-inserting a
+  /// resident identity refreshes recency only.
+  bool insert(std::shared_ptr<const MergedResult> value, std::uint64_t size_bytes);
 
-  /// Offer an answer.  `size_bytes` is core::serialized_analysis_bytes of
-  /// the merged analysis; the admission cost is value->cost_ns.  Returns
-  /// false when admission rejected it.  Re-inserting a resident generation
-  /// refreshes recency only.
-  bool insert(std::uint64_t generation, std::shared_ptr<const MergedResult> value,
-              std::uint64_t size_bytes);
-
-  /// Drop entries for which `stale` returns true.  The service keeps
-  /// exactly the prefix-valid ones across a publish.
-  std::size_t purge(const std::function<bool(std::uint64_t, const MergedResult&)>& stale);
+  /// Drop every entry whose identity names a key for which `stale` returns
+  /// true — the same predicate SnapshotCache::purge takes.
+  std::size_t purge(const std::function<bool(const CacheKey&)>& stale);
 
   CacheCounters counters() const;
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
 
  private:
   struct Entry {
-    std::uint64_t generation = 0;
     std::shared_ptr<const MergedResult> value;
     std::uint64_t size_bytes = 0;
   };
 
   mutable std::mutex mu_;
   std::list<Entry> lru_;  ///< front = most recent
-  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
   std::uint64_t capacity_bytes_;
   std::size_t max_entries_;
   std::uint64_t bytes_used_ = 0;

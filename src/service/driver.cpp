@@ -23,11 +23,41 @@ std::uint64_t ns_since(SteadyClock::time_point t0) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(SteadyClock::now() - t0).count());
 }
 
-/// What each generation's concurrent answers claimed, plus the pin that
-/// keeps its files alive until the post-run replay.
-struct GenerationEvidence {
-  ArchiveService::Pin pin;  ///< first pin observed at this generation
-  std::unordered_map<std::uint64_t, std::uint64_t> fingerprints;  ///< value -> count
+/// What a run's concurrent answers claimed, keyed by (generation,
+/// last_windows), each key with the first pin observed for it — the pin
+/// keeps that generation's files alive until the post-run replay.
+class Evidence {
+ public:
+  void record(const ArchiveService::GetResult& r, std::uint64_t last_windows) {
+    const std::scoped_lock lock(mu_);
+    Answers& a = answers_[{r.generation, last_windows}];
+    if (!a.pin.valid()) a.pin = r.pin;
+    a.fingerprints[r.fingerprint] += 1;
+  }
+
+  /// The oracle: replay every key serially (replay_serial_window — cache
+  /// free, snapshot free, mlp_depth 1) and count the answers that
+  /// contradict it.  Pins drop as keys are consumed, releasing deferred GC.
+  void replay(const ArchiveService& service, std::uint64_t& observed, std::uint64_t& verified,
+              std::uint64_t& divergent) {
+    observed = answers_.size();
+    for (auto& [key, a] : answers_) {
+      const std::uint64_t expected = service.replay_serial_window(a.pin, key.second).fingerprint();
+      for (const auto& [fp, count] : a.fingerprints) {
+        if (fp != expected) divergent += count;
+      }
+      verified += 1;
+      a.pin = ArchiveService::Pin();
+    }
+  }
+
+ private:
+  struct Answers {
+    ArchiveService::Pin pin;
+    std::unordered_map<std::uint64_t, std::uint64_t> fingerprints;  ///< value -> count
+  };
+  std::mutex mu_;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, Answers> answers_;
 };
 
 /// Per-client accumulation, merged by the main thread after join so the
@@ -66,16 +96,7 @@ WorkloadReport run_closed_loop(ArchiveService& service, const WorkloadConfig& cf
   MLIO_ASSERT(cfg.weight_ingest == 0 || !frame_pool.empty());
 
   std::vector<ClientState> clients(cfg.clients);
-  std::mutex evidence_mu;
-  std::map<std::uint64_t, GenerationEvidence> evidence;  // generation -> answers
-
-  const auto record_answer = [&](const ArchiveService::GetResult& r) {
-    if (!cfg.verify) return;
-    const std::scoped_lock lock(evidence_mu);
-    GenerationEvidence& ev = evidence[r.generation];
-    if (!ev.pin.valid()) ev.pin = r.pin;  // retains the generation's files
-    ev.fingerprints[r.fingerprint] += 1;
-  };
+  Evidence evidence;
 
   std::latch start_gate(static_cast<std::ptrdiff_t>(cfg.clients) + 1);
   std::vector<std::thread> threads;
@@ -96,7 +117,7 @@ WorkloadReport run_closed_loop(ArchiveService& service, const WorkloadConfig& cf
           me.get_latency.record(ns_since(t0));
           me.stats.merge(r.stats);
           me.gets += 1;
-          record_answer(r);
+          if (cfg.verify) evidence.record(r, 0);
         } else if (draw < cfg.weight_get + cfg.weight_ingest) {
           const std::uint64_t n =
               std::min<std::uint64_t>(cfg.logs_per_ingest, frame_pool.size());
@@ -136,18 +157,8 @@ WorkloadReport run_closed_loop(ArchiveService& service, const WorkloadConfig& cf
   }
   report.requests = report.gets + report.ingests + report.compacts;
 
-  // Post-run oracle: replay each pinned generation serially and confront
-  // every concurrent answer with it.  Pins drop as entries are consumed,
-  // releasing deferred GC.
-  report.generations_observed = evidence.size();
-  for (auto& [generation, ev] : evidence) {
-    const std::uint64_t expected = service.replay_serial(ev.pin).fingerprint();
-    for (const auto& [fp, count] : ev.fingerprints) {
-      if (fp != expected) report.divergent += count;
-    }
-    report.verified_generations += 1;
-    ev.pin = ArchiveService::Pin();  // unpin: deferred GC may now advance
-  }
+  evidence.replay(service, report.generations_observed, report.verified_generations,
+                  report.divergent);
 
   report.cache = service.cache_counters();
   return report;
@@ -158,16 +169,7 @@ LiveReport run_live_soak(ArchiveService& service, const LiveConfig& cfg,
   MLIO_ASSERT(!frame_pool.empty());
   MLIO_ASSERT(cfg.logs_per_append > 0);
 
-  std::mutex evidence_mu;
-  std::map<std::uint64_t, GenerationEvidence> evidence;  // generation -> answers
-  const auto record_answer = [&](const ArchiveService::GetResult& r) {
-    if (!cfg.verify) return;
-    const std::scoped_lock lock(evidence_mu);
-    GenerationEvidence& ev = evidence[r.generation];
-    if (!ev.pin.valid()) ev.pin = r.pin;  // retains the generation's files
-    ev.fingerprints[r.fingerprint] += 1;
-  };
-
+  Evidence evidence;
   LiveReport report;
   std::atomic<bool> feed_done{false};
 
@@ -188,7 +190,7 @@ LiveReport run_live_soak(ArchiveService& service, const LiveConfig& cfg,
         me.get_latency.record(ns_since(t0));
         me.stats.merge(r.stats);
         me.gets += 1;
-        record_answer(r);
+        if (cfg.verify) evidence.record(r, cfg.last_windows);
       } while (!feed_done.load(std::memory_order_acquire));
     });
   }
@@ -233,18 +235,8 @@ LiveReport run_live_soak(ArchiveService& service, const LiveConfig& cfg,
     }
   }
 
-  // The oracle: each observed generation's windowed answers must match a
-  // serial replay of that pinned generation's selected suffix bit for bit.
-  report.generations_observed = evidence.size();
-  for (auto& [generation, ev] : evidence) {
-    const std::uint64_t expected =
-        service.replay_serial_window(ev.pin, cfg.last_windows).fingerprint();
-    for (const auto& [fp, count] : ev.fingerprints) {
-      if (fp != expected) report.divergent += count;
-    }
-    report.verified_generations += 1;
-    ev.pin = ArchiveService::Pin();  // unpin: deferred GC may now advance
-  }
+  evidence.replay(service, report.generations_observed, report.verified_generations,
+                  report.divergent);
   report.gc_pending_after = service.deferred_gc_pending();
   return report;
 }

@@ -8,13 +8,14 @@
 // timed as one wall-clock interval — so throughput is requests / wall and
 // latency histograms only contain steady-state samples.
 //
-// Verification: every measured get() records (generation, fingerprint)
-// and the FIRST pin observed for each generation is retained, which blocks
-// deferred GC for that generation's files.  After the run, each distinct
-// generation is replayed serially (ArchiveService::replay_serial — cache
-// free, snapshot free, mlp_depth 1) and every concurrent answer must match
-// the replay bit for bit.  A divergence is a correctness bug, and
-// bench_service exits nonzero on it.
+// Verification (shared with the live soak below): every measured get
+// records its fingerprint under (generation, last_windows), and the FIRST
+// pin observed for each key is retained, which blocks deferred GC for that
+// generation's files.  After the run, each key is replayed serially
+// (ArchiveService::replay_serial_window — cache free, snapshot free,
+// mlp_depth 1) and every concurrent answer must match the replay bit for
+// bit.  A divergence is a correctness bug, and bench_service exits nonzero
+// on it.
 #pragma once
 
 #include <cstdint>
@@ -83,8 +84,7 @@ WorkloadReport run_closed_loop(ArchiveService& service, const WorkloadConfig& cf
 // stream_append (a single logical stream — window cuts depend on arrival
 // order, so the feed is never sharded), while reader threads issue windowed
 // gets and the service's background leveled compactor merges history
-// underneath both.  Verification mirrors run_closed_loop: the first pin per
-// observed generation is retained, and after the run every windowed answer
+// underneath both.  Verification is run_closed_loop's: every windowed answer
 // is confronted with replay_serial_window of its pinned generation — the
 // serial, cache-free oracle.  Bit-identity must hold across every
 // ingest/compactor interleaving.

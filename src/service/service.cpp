@@ -1,12 +1,14 @@
 #include "service/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <string>
 #include <unordered_set>
 #include <utility>
 
 #include "core/snapshot.hpp"
-#include "util/compress.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
 
@@ -96,33 +98,20 @@ void ArchiveService::publish_locked() {
     const std::scoped_lock lock(pin_mu_);
     published_ = next;
   }
-  // Drop cache entries the new manifest no longer references.  Entries for
-  // still-pinned older generations are dropped too — by definition those
-  // generations are on their way out, and correctness never depends on the
-  // cache (a pinned reader just rebuilds).
-  std::unordered_set<std::uint64_t> live;
+  // Drop shard-cache and memo entries naming a shard the new manifest no
+  // longer references (compacted away).  Correctness never depends on it: a
+  // memo entry is a pure left fold of its identity's immutable shards, so
+  // any resident entry is right for whoever matches it — the purge only
+  // reclaims bytes early.  Entries still pinned by older generations go too;
+  // a pinned reader just rebuilds.
+  std::unordered_set<CacheKey, CacheKeyHash> live;
   live.reserve(next->partitions.size());
   for (const archive::PartitionInfo& p : next->partitions) {
-    live.insert(p.id * 0x100000001b3ull + p.data_generation);
+    live.insert(CacheKey{p.id, p.data_generation});
   }
-  cache_.purge([&](const CacheKey& k) {
-    return live.find(k.partition_id * 0x100000001b3ull + k.data_generation) == live.end();
-  });
-  // Merged answers survive a publish exactly when their identity is still a
-  // prefix of the new partition list: an ingest append keeps the previous
-  // generation's answer alive as the incremental seed for the next get,
-  // while a compaction (rewritten ids / data generations) invalidates it.
-  const std::vector<archive::PartitionInfo>& parts = next->partitions;
-  merged_.purge([&](std::uint64_t, const MergedResult& m) {
-    if (m.identity.size() > parts.size()) return true;
-    for (std::size_t i = 0; i < m.identity.size(); ++i) {
-      if (m.identity[i].partition_id != parts[i].id ||
-          m.identity[i].data_generation != parts[i].data_generation) {
-        return true;
-      }
-    }
-    return false;
-  });
+  const auto dead = [&](const CacheKey& k) { return !live.contains(k); };
+  cache_.purge(dead);
+  merged_.purge(dead);
 }
 
 void ArchiveService::sweep_gc() {
@@ -210,8 +199,7 @@ std::shared_ptr<const core::Analysis> ArchiveService::resolve_shard(
 }
 
 std::vector<std::shared_ptr<const core::Analysis>> ArchiveService::resolve_all(
-    const Pin& pin, ServiceStats& stats) {
-  const std::vector<archive::PartitionInfo>& parts = pin.manifest().partitions;
+    std::span<const archive::PartitionInfo> parts, ServiceStats& stats) {
   std::vector<std::shared_ptr<const core::Analysis>> shards(parts.size());
   if (pool_ == nullptr) {
     for (std::size_t i = 0; i < parts.size(); ++i) shards[i] = resolve_shard(parts[i], stats);
@@ -241,143 +229,6 @@ std::vector<std::shared_ptr<const core::Analysis>> ArchiveService::resolve_all(
   return shards;
 }
 
-ArchiveService::GetResult ArchiveService::get_pinned(const Pin& pin, bool keep_analysis) {
-  MLIO_ASSERT(pin.valid());
-  const auto t0 = SteadyClock::now();
-  GetResult r;
-  r.generation = pin.generation();
-  r.pin = pin;
-  r.stats.requests = 1;
-  const std::vector<archive::PartitionInfo>& parts = pin.manifest().partitions;
-  r.stats.query.partitions = parts.size();
-
-  // Tier 1: the whole answer, memoized under this generation.
-  if (std::shared_ptr<const MergedResult> memo = merged_.get(pin.generation())) {
-    r.stats.query.merged_hits = 1;
-    r.fingerprint = memo->fingerprint;
-    if (keep_analysis) r.analysis = memo->analysis;
-    r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
-    return r;
-  }
-
-  std::vector<CacheKey> identity;
-  identity.reserve(parts.size());
-  for (const archive::PartitionInfo& p : parts) {
-    identity.push_back(CacheKey{p.id, p.data_generation});
-  }
-
-  std::shared_ptr<const core::Analysis> merged;
-  std::uint64_t fingerprint = 0;
-  std::uint64_t base_cost_ns = 0;
-
-  // Tier 2: extend the longest memoized prefix — ingest appends partitions,
-  // so merged(prefix) ⊕ delta shards continues the canonical left fold
-  // bit-identically.  A full-length match (same partitions under a new
-  // manifest generation, e.g. after a snapshot commit) costs zero merges.
-  if (std::shared_ptr<const MergedResult> base = merged_.best_prefix(identity)) {
-    base_cost_ns = base->cost_ns;
-    const std::size_t reused = base->identity.size();
-    r.stats.query.partitions_reused = reused;
-    if (reused == parts.size()) {
-      merged = base->analysis;
-      fingerprint = base->fingerprint;
-      r.stats.query.merged_hits = 1;
-    } else {
-      r.stats.query.prefix_merges = 1;
-      const auto t_scan = SteadyClock::now();
-      auto extended = std::make_shared<core::Analysis>(*base->analysis);
-      for (std::size_t i = reused; i < parts.size(); ++i) {
-        extended->merge(*resolve_shard(parts[i], r.stats));
-      }
-      r.stats.scan_ns = ns_since(t_scan);
-      r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
-      fingerprint = extended->fingerprint();
-      merged = std::move(extended);
-    }
-  } else {
-    // Tier 3: full merge — resolve every shard (on the merge pool when
-    // configured) and fold with the pinned-shape tree.
-    r.stats.query.full_merges = 1;
-    const auto t_scan = SteadyClock::now();
-    const std::vector<std::shared_ptr<const core::Analysis>> shards = resolve_all(pin, r.stats);
-    r.stats.scan_ns = ns_since(t_scan);
-    r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
-
-    const auto t_merge = SteadyClock::now();
-    std::vector<const core::Analysis*> ptrs;
-    ptrs.reserve(shards.size());
-    for (const auto& shard : shards) ptrs.push_back(shard.get());
-    core::MergeTreeStats tree;
-    auto folded =
-        std::make_shared<core::Analysis>(core::Analysis::merge_ordered(ptrs, pool_.get(), &tree));
-    r.stats.query.tree_merges = tree.used_tree ? 1 : 0;
-    r.stats.merge_ns = ns_since(t_merge);
-    r.stats.query.merge_seconds = static_cast<double>(r.stats.merge_ns) * 1e-9;
-    fingerprint = folded->fingerprint();
-    merged = std::move(folded);
-  }
-
-  // Memoize under THIS generation (a tier-2 full-length reuse re-registers
-  // the shared answer under the new generation so the next get is a tier-1
-  // hit; the analysis itself is shared, not copied).
-  if (merged_.enabled()) {
-    auto entry = std::make_shared<MergedResult>();
-    entry->analysis = merged;
-    entry->fingerprint = fingerprint;
-    entry->identity = std::move(identity);
-    entry->cost_ns = base_cost_ns + ns_since(t0);
-    merged_.insert(pin.generation(), std::move(entry),
-                   core::serialized_analysis_bytes(*merged));
-  }
-
-  r.fingerprint = fingerprint;
-  if (keep_analysis) r.analysis = std::move(merged);
-  r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
-  return r;
-}
-
-ArchiveService::GetResult ArchiveService::get(bool keep_analysis) {
-  ServiceStats carried;  // wait + retry cost accumulated across attempts
-  for (unsigned attempt = 0;; ++attempt) {
-    const auto t0 = SteadyClock::now();
-    Pin p = pin();
-    carried.queue_wait_ns += ns_since(t0);
-    try {
-      GetResult r = get_pinned(p, keep_analysis);
-      r.stats.queue_wait_ns += carried.queue_wait_ns;
-      r.stats.stale_retries += carried.stale_retries;
-      return r;
-    } catch (const archive::StaleReadError&) {
-      // Our own GC can't outrun a live pin, so the race was external (or the
-      // pin predates an external publish): resync from disk and retry.
-      if (attempt >= opts_.max_stale_retries) throw;
-      carried.stale_retries += 1;
-      refresh_from_disk();
-    } catch (const util::IoError&) {
-      // A vanished file without a newer manifest on disk yet: same recovery,
-      // bounded the same way.
-      if (attempt >= opts_.max_stale_retries) throw;
-      carried.stale_retries += 1;
-      if (!refresh_from_disk()) throw;
-    }
-  }
-}
-
-core::Analysis ArchiveService::replay_serial(const Pin& pin) const {
-  MLIO_ASSERT(pin.valid());
-  core::Analysis replay;
-  archive::Archive::ScanScratch scratch;
-  archive::ScanOptions scan_opts;
-  scan_opts.mlp_depth = 1;  // the seed's one-log-at-a-time loop, verbatim
-  for (const archive::PartitionInfo& p : pin.manifest().partitions) {
-    core::Analysis shard;
-    archive_.scan_partition(
-        p, [&](const darshan::LogData& log) { shard.add(log); }, scratch, scan_opts);
-    replay.merge(shard);
-  }
-  return replay;
-}
-
 ArchiveService::IngestResult ArchiveService::ingest(std::span<const ServiceFrame> frames,
                                                     ServiceStats* stats) {
   std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
@@ -385,32 +236,7 @@ ArchiveService::IngestResult ArchiveService::ingest(std::span<const ServiceFrame
   archive::Archive::PartitionWriter w = archive_.begin_partition();
   for (const ServiceFrame& f : frames) w.append_frame(f.job, f.bytes);
   IngestResult r;
-  if (!opts_.write_snapshots_on_ingest) {
-    r.partition = w.seal();
-  } else {
-    // Partition + snapshot land under ONE generation bump (a group of one):
-    // half the manifest fsyncs, and pinned readers see one new generation
-    // per ingest instead of two (one fewer memo/snapshot-cache purge).
-    const std::uint64_t gen = archive_.manifest().generation + 1;
-    archive::Archive::PendingPartition pending = w.finish();
-    pending.info.data_generation = gen;
-    // Accumulate the shard from the in-memory frames, in ingest order —
-    // byte-for-byte what a rescan of the sealed partition would compute.
-    core::Analysis shard;
-    darshan::LogData log;
-    darshan::LogIoBuffers io;
-    for (const ServiceFrame& f : frames) {
-      darshan::read_log_bytes_into(f.bytes, io, log);
-      shard.add(log);
-    }
-    std::vector<std::byte> bytes = core::write_snapshot_bytes(shard, gen);
-    pending.info.has_snapshot = true;
-    pending.info.snapshot_generation = gen;
-    pending.info.snapshot_crc = util::crc32(bytes);
-    pending.snapshot = std::move(bytes);
-    archive_.stage_partition_files(pending);
-    r.partition = archive_.commit_group({&pending, 1}).front();
-  }
+  r.partition = w.seal();
   publish_locked();
   r.generation = archive_.manifest().generation;
   return r;
@@ -515,26 +341,49 @@ bool ArchiveService::compactor_running() const {
   return compactor_pool_ != nullptr;
 }
 
+std::string ArchiveService::compactor_last_error() const {
+  const std::scoped_lock lock(compactor_mu_);
+  return compactor_last_error_;
+}
+
 void ArchiveService::compactor_loop(CompactorOptions opts) {
   // Runs as ONE long task on the dedicated pool; ThreadPool tasks must not
   // throw, so every iteration is fenced.  After a successful merge the loop
   // re-plans immediately — a cascade (level 0 fills level 1 fills level 2…)
-  // drains without idling between steps.
+  // drains without idling between steps.  A failing step (full disk, I/O
+  // error) is recorded and retried after an exponential backoff, so a
+  // persistent fault neither spins the loop nor goes unreported.
   for (;;) {
     {
       const std::scoped_lock lock(compactor_mu_);
       if (compactor_stop_) return;
     }
     bool merged = false;
+    std::string error;
     try {
       merged = compact_step(opts.policy).has_value();
       if (merged) compactions_.fetch_add(1, std::memory_order_relaxed);
+    } catch (const std::exception& e) {
+      error = e.what();
     } catch (...) {
+      error = "unknown exception";
+    }
+    std::chrono::milliseconds wait = opts.interval;
+    if (error.empty()) {
+      compactor_failures_.store(0, std::memory_order_relaxed);
+    } else {
+      const std::uint64_t failures =
+          compactor_failures_.fetch_add(1, std::memory_order_relaxed) + 1;
+      wait = std::max(wait, std::chrono::milliseconds(1));
+      for (std::uint64_t k = 0; k < failures && wait < kCompactorMaxBackoff; ++k) wait *= 2;
+      wait = std::min(wait, kCompactorMaxBackoff);
+      const std::scoped_lock lock(compactor_mu_);
+      compactor_last_error_ = std::move(error);
       compactor_errors_.fetch_add(1, std::memory_order_relaxed);
     }
     if (!merged) {
       std::unique_lock<std::mutex> lock(compactor_mu_);
-      compactor_cv_.wait_for(lock, opts.interval, [this] { return compactor_stop_; });
+      compactor_cv_.wait_for(lock, wait, [this] { return compactor_stop_; });
       if (compactor_stop_) return;
     }
   }
@@ -544,47 +393,90 @@ ArchiveService::GetResult ArchiveService::get_window_pinned(const Pin& pin,
                                                             std::uint64_t last_windows,
                                                             bool keep_analysis) {
   MLIO_ASSERT(pin.valid());
-  const archive::WindowSelection sel =
-      archive::select_last_windows(pin.manifest(), last_windows);
-  if (sel.whole_archive()) {
-    // The suffix is the whole partition list: the memoized whole-archive
-    // engine IS the windowed answer (bit-identical — same shards, same
-    // fold), and it gets tier-1/2 reuse for free.
-    GetResult r = get_pinned(pin, keep_analysis);
-    r.windows = sel;
-    return r;
-  }
-
   const auto t0 = SteadyClock::now();
   GetResult r;
   r.generation = pin.generation();
   r.pin = pin;
-  r.windows = sel;
+  r.windows = archive::select_last_windows(pin.manifest(), last_windows);
   r.stats.requests = 1;
-  const std::vector<archive::PartitionInfo>& parts = pin.manifest().partitions;
-  r.stats.query.partitions = sel.count;
-  r.stats.query.full_merges = 1;
+  const std::span<const archive::PartitionInfo> parts =
+      std::span(pin.manifest().partitions).subspan(r.windows.first);
+  r.stats.query.partitions = parts.size();
 
-  // Serial suffix fold through the shared shard cache.  Windows are small
-  // by design (cost proportional to the window, not the archive), so the
-  // canonical left fold needs no tree; bits match replay_serial_window by
-  // construction.
-  const auto t_scan = SteadyClock::now();
-  core::Analysis merged;
-  for (std::size_t i = sel.first; i < parts.size(); ++i) {
-    merged.merge(*resolve_shard(parts[i], r.stats));
+  std::vector<CacheKey> identity;
+  identity.reserve(parts.size());
+  for (const archive::PartitionInfo& p : parts) {
+    identity.push_back(CacheKey{p.id, p.data_generation});
   }
-  r.stats.scan_ns = ns_since(t_scan);
-  r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
-  r.fingerprint = merged.fingerprint();
-  if (keep_analysis) r.analysis = std::make_shared<const core::Analysis>(std::move(merged));
+
+  std::shared_ptr<const core::Analysis> merged;
+  std::uint64_t fingerprint = 0;
+  const std::shared_ptr<const MergedResult> base = merged_.lookup(identity);
+  const std::size_t reused = base ? base->identity.size() : 0;
+  r.stats.query.partitions_reused = reused;
+  if (base && reused == parts.size()) {
+    // The same shards were folded before (this generation, or any other
+    // whose selection names them): the memoized answer IS this answer.
+    r.stats.query.merged_hits = 1;
+    r.fingerprint = base->fingerprint;
+    if (keep_analysis) r.analysis = base->analysis;
+    r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
+    return r;
+  }
+  if (base) {
+    // Extend the longest memoized prefix — ingest appends partitions, so
+    // merged(prefix) ⊕ delta shards continues the canonical left fold
+    // bit-identically.
+    r.stats.query.prefix_merges = 1;
+    const auto t_scan = SteadyClock::now();
+    auto extended = std::make_shared<core::Analysis>(*base->analysis);
+    for (const archive::PartitionInfo& p : parts.subspan(reused)) {
+      extended->merge(*resolve_shard(p, r.stats));
+    }
+    r.stats.scan_ns = ns_since(t_scan);
+    r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
+    fingerprint = extended->fingerprint();
+    merged = std::move(extended);
+  } else {
+    // Full merge — resolve every selected shard (on the merge pool when
+    // configured) and fold with the pinned-shape tree.
+    r.stats.query.full_merges = 1;
+    const auto t_scan = SteadyClock::now();
+    const std::vector<std::shared_ptr<const core::Analysis>> shards = resolve_all(parts, r.stats);
+    r.stats.scan_ns = ns_since(t_scan);
+    r.stats.query.scan_seconds = static_cast<double>(r.stats.scan_ns) * 1e-9;
+
+    const auto t_merge = SteadyClock::now();
+    std::vector<const core::Analysis*> ptrs;
+    ptrs.reserve(shards.size());
+    for (const auto& shard : shards) ptrs.push_back(shard.get());
+    core::MergeTreeStats tree;
+    auto folded =
+        std::make_shared<core::Analysis>(core::Analysis::merge_ordered(ptrs, pool_.get(), &tree));
+    r.stats.query.tree_merges = tree.used_tree ? 1 : 0;
+    r.stats.merge_ns = ns_since(t_merge);
+    r.stats.query.merge_seconds = static_cast<double>(r.stats.merge_ns) * 1e-9;
+    fingerprint = folded->fingerprint();
+    merged = std::move(folded);
+  }
+
+  if (merged_.enabled()) {
+    auto entry = std::make_shared<MergedResult>();
+    entry->analysis = merged;
+    entry->fingerprint = fingerprint;
+    entry->identity = std::move(identity);
+    merged_.insert(std::move(entry), core::serialized_analysis_bytes(*merged));
+  }
+
+  r.fingerprint = fingerprint;
+  if (keep_analysis) r.analysis = std::move(merged);
   r.stats.query.total_seconds = static_cast<double>(ns_since(t0)) * 1e-9;
   return r;
 }
 
 ArchiveService::GetResult ArchiveService::get_window(std::uint64_t last_windows,
                                                      bool keep_analysis) {
-  ServiceStats carried;
+  ServiceStats carried;  // wait + retry cost accumulated across attempts
   for (unsigned attempt = 0;; ++attempt) {
     const auto t0 = SteadyClock::now();
     Pin p = pin();
@@ -595,10 +487,14 @@ ArchiveService::GetResult ArchiveService::get_window(std::uint64_t last_windows,
       r.stats.stale_retries += carried.stale_retries;
       return r;
     } catch (const archive::StaleReadError&) {
+      // Our own GC can't outrun a live pin, so the race was external (or the
+      // pin predates an external publish): resync from disk and retry.
       if (attempt >= opts_.max_stale_retries) throw;
       carried.stale_retries += 1;
       refresh_from_disk();
     } catch (const util::IoError&) {
+      // A vanished file without a newer manifest on disk yet: same recovery,
+      // bounded the same way.
       if (attempt >= opts_.max_stale_retries) throw;
       carried.stale_retries += 1;
       if (!refresh_from_disk()) throw;
@@ -615,7 +511,7 @@ core::Analysis ArchiveService::replay_serial_window(const Pin& pin,
   core::Analysis replay;
   archive::Archive::ScanScratch scratch;
   archive::ScanOptions scan_opts;
-  scan_opts.mlp_depth = 1;
+  scan_opts.mlp_depth = 1;  // the seed's one-log-at-a-time loop, verbatim
   for (std::size_t i = sel.first; i < parts.size(); ++i) {
     core::Analysis shard;
     archive_.scan_partition(

@@ -38,6 +38,7 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "archive/archive.hpp"
@@ -86,10 +87,10 @@ class ArchiveService {
  public:
   struct Options {
     SnapshotCache::Options cache;
-    /// Whole-answer memo keyed by manifest generation (DESIGN.md §12).
-    /// capacity_bytes = 0 turns memoization AND incremental prefix merging
-    /// off — every get resolves and merges all P shards (the bench's
-    /// linear-in-P lane).
+    /// Memo of merged answers keyed by shard identity (DESIGN.md §12),
+    /// shared by whole-archive and windowed gets.  capacity_bytes = 0 turns
+    /// memoization AND incremental prefix merging off — every get resolves
+    /// and merges all of its shards (the bench's linear-in-P lane).
     MergedResultCache::Options merged;
     /// Workers for full merges: shard resolution fans out over a pool and
     /// the fold runs as a fixed-shape tree (Analysis::merge_ordered — bits
@@ -100,15 +101,9 @@ class ArchiveService {
     /// Logs in flight per scan during shard rebuilds (bit-identical at any
     /// depth — archive/scan.hpp).
     unsigned mlp_depth = archive::kDefaultMlpDepth;
-    /// get() re-pins and retries this many times on a stale read before
-    /// letting the StaleReadError out.
+    /// get_window() re-pins and retries this many times on a stale read
+    /// before letting the StaleReadError out.
     unsigned max_stale_retries = 3;
-    /// Persist rebuilt shards as on-disk snapshots during ingest(): the
-    /// first get() after a publish then hits disk snapshots instead of
-    /// rescanning.  Off by default — the shared in-memory cache is the
-    /// serving path, and snapshot writes would serialize readers behind the
-    /// manifest lock.
-    bool write_snapshots_on_ingest = false;
     /// Continuous mode: window cuts and caps for stream_append (archive/
     /// stream.hpp).  Only consulted by the streaming entry points.
     archive::StreamOptions stream;
@@ -151,24 +146,39 @@ class ArchiveService {
     /// The merged analysis; populated only when requested (it is the answer
     /// a real client would consume, but the bench only needs the digest).
     std::shared_ptr<const core::Analysis> analysis;
-    /// Windowed gets only: which partition suffix answered, and the window
-    /// span it honestly covers.  Default-constructed for whole-archive gets.
+    /// Which partition suffix answered, and the window span it honestly
+    /// covers (the whole partition list for whole-archive gets).
     archive::WindowSelection windows;
   };
 
-  /// Answer a whole-archive query at the current generation.  Thread-safe;
-  /// any number of concurrent callers.  Retries internally on a stale read.
-  GetResult get(bool keep_analysis = false);
+  /// "Table 2 for the last N windows" at the current generation: fold only
+  /// the partition suffix select_last_windows picks; last_windows == 0 means
+  /// the whole archive.  Thread-safe; any number of concurrent callers.
+  /// Retries internally (re-pin after a disk refresh) on a stale read.
+  GetResult get_window(std::uint64_t last_windows, bool keep_analysis = false);
 
-  /// Same, but against an explicit pin (no retry — the pin's files are
+  /// Same, against an explicit pin (no retry — the pin's files are
   /// GC-protected, so a stale read here means an external actor interfered).
-  GetResult get_pinned(const Pin& pin, bool keep_analysis = false);
+  /// The one fold of the service: a memo lookup by the selected shards'
+  /// identity (full-length match = hit), else extend the longest memoized
+  /// prefix with only the missing shards, else resolve every selected
+  /// shard (on the merge pool when configured) and tree-merge them.
+  GetResult get_window_pinned(const Pin& pin, std::uint64_t last_windows,
+                              bool keep_analysis = false);
 
   /// The verification oracle: a serial, cache-free, snapshot-free replay of
-  /// a pinned generation — every shard rebuilt from its segment at
-  /// mlp_depth 1, merged in manifest order.  Concurrent get() answers for
-  /// that generation must match its fingerprint bit for bit.
-  core::Analysis replay_serial(const Pin& pin) const;
+  /// the pinned generation's selected suffix — every shard rebuilt from its
+  /// segment at mlp_depth 1, merged in manifest order.  Every concurrent
+  /// answer for (generation, last_windows) must match its fingerprint bit
+  /// for bit.
+  core::Analysis replay_serial_window(const Pin& pin, std::uint64_t last_windows) const;
+
+  /// Whole-archive forms of the three above (last_windows = 0).
+  GetResult get(bool keep_analysis = false) { return get_window(0, keep_analysis); }
+  GetResult get_pinned(const Pin& pin, bool keep_analysis = false) {
+    return get_window_pinned(pin, 0, keep_analysis);
+  }
+  core::Analysis replay_serial(const Pin& pin) const { return replay_serial_window(pin, 0); }
 
   struct IngestResult {
     archive::PartitionInfo partition;
@@ -208,9 +218,11 @@ class ArchiveService {
     archive::LeveledPolicy policy;
     /// Idle poll period: how long the background thread sleeps after finding
     /// nothing mergeable.  After a successful merge it re-plans immediately
-    /// (cascading merges drain without waiting).
+    /// (cascading merges drain without waiting); after n consecutive failed
+    /// steps it waits interval * 2^n, capped at kCompactorMaxBackoff.
     std::chrono::milliseconds interval{2};
   };
+  static constexpr std::chrono::milliseconds kCompactorMaxBackoff{1000};
 
   /// Start the background leveled compactor — one long-running task on a
   /// dedicated util::ThreadPool worker, looping plan_leveled/compact_range
@@ -225,32 +237,23 @@ class ArchiveService {
   bool compactor_running() const;
   /// Successful background merges since start (across restarts).
   std::uint64_t compactions() const { return compactions_.load(std::memory_order_relaxed); }
-  /// Background iterations that threw (the loop swallows and keeps going).
+  /// Background iterations that threw (the loop records the error, backs
+  /// off, and keeps going).
   std::uint64_t compactor_errors() const {
     return compactor_errors_.load(std::memory_order_relaxed);
   }
+  /// Failed iterations since the last one that did not throw (0 = healthy).
+  std::uint64_t compactor_consecutive_failures() const {
+    return compactor_failures_.load(std::memory_order_relaxed);
+  }
+  /// What the last failed iteration threw; empty if none ever failed.
+  std::string compactor_last_error() const;
 
   /// One leveled compaction step inline (the loop body; also the
   /// deterministic entry tests drive directly).  Returns the merged
   /// partition, or nullopt when no level holds a full fanout run.
   std::optional<archive::PartitionInfo> compact_step(const archive::LeveledPolicy& policy,
                                                      ServiceStats* stats = nullptr);
-
-  /// Windowed get: "Table 2 for the last N windows" — fold only the
-  /// partition suffix select_last_windows picks, through the shared shard
-  /// cache.  last_windows == 0 means the whole archive.  Retries internally
-  /// on a stale read, like get().
-  GetResult get_window(std::uint64_t last_windows, bool keep_analysis = false);
-  /// Same, against an explicit pin (no retry).
-  GetResult get_window_pinned(const Pin& pin, std::uint64_t last_windows,
-                              bool keep_analysis = false);
-
-  /// Windowed verification oracle: serial, cache-free, snapshot-free replay
-  /// of the pinned generation's selected suffix at mlp_depth 1.  Every
-  /// concurrent get_window answer for (generation, last_windows) must match
-  /// its fingerprint bit for bit.  replay_serial(pin) == the last_windows=0
-  /// case.
-  core::Analysis replay_serial_window(const Pin& pin, std::uint64_t last_windows) const;
 
   std::uint64_t generation() const;
   CacheCounters cache_counters() const { return cache_.counters(); }
@@ -267,8 +270,8 @@ class ArchiveService {
   };
 
   /// Swap the published manifest to the archive's current state and purge
-  /// cache entries the new manifest no longer references.  Caller holds
-  /// writer_mu_.
+  /// shard-cache and memo entries naming a shard the new manifest no longer
+  /// references.  Caller holds writer_mu_.
   void publish_locked();
   /// Delete deferred files whose publishing generation no pin predates.
   void sweep_gc();
@@ -279,11 +282,11 @@ class ArchiveService {
   /// Resolve one partition's shard: cache -> disk snapshot -> rescan.
   std::shared_ptr<const core::Analysis> resolve_shard(const archive::PartitionInfo& p,
                                                       ServiceStats& stats);
-  /// Resolve every shard of `pin`'s manifest, on the merge pool when one is
+  /// Resolve every shard of `parts`, on the merge pool when one is
   /// configured (per-worker stats folded after the join), serially
   /// otherwise.
-  std::vector<std::shared_ptr<const core::Analysis>> resolve_all(const Pin& pin,
-                                                                 ServiceStats& stats);
+  std::vector<std::shared_ptr<const core::Analysis>> resolve_all(
+      std::span<const archive::PartitionInfo> parts, ServiceStats& stats);
 
   /// Body of the background compactor task (runs on compactor_pool_).
   void compactor_loop(CompactorOptions opts);
@@ -308,11 +311,13 @@ class ArchiveService {
   /// Background compactor: a 1-worker pool running compactor_loop until
   /// stop_compactor flips the flag under compactor_mu_.
   std::unique_ptr<util::ThreadPool> compactor_pool_;
-  mutable std::mutex compactor_mu_;  ///< guards compactor_pool_ and _stop_
+  mutable std::mutex compactor_mu_;  ///< guards compactor_pool_, _stop_, _last_error_
   std::condition_variable compactor_cv_;
   bool compactor_stop_ = false;
   std::atomic<std::uint64_t> compactions_{0};
   std::atomic<std::uint64_t> compactor_errors_{0};
+  std::atomic<std::uint64_t> compactor_failures_{0};  ///< consecutive
+  std::string compactor_last_error_;
 };
 
 }  // namespace mlio::service

@@ -394,8 +394,11 @@ TEST(WindowManifestFuzz, StaleGenerationStampOnWindowedPartitionForcesRescan) {
     (void)ing.append(log.job, darshan::write_log_bytes(log));
   }
   (void)ing.flush();
+  QueryOptions qopts;
+  qopts.last_windows = 2;
+  qopts.write_snapshots = false;
   const std::vector<std::byte> clean =
-      core::write_snapshot_bytes(query_window(ar, 2).analysis, 0);
+      core::write_snapshot_bytes(query_archive(ar, qopts).analysis, 0);
 
   {  // Forge the stale stamp on the newest windowed partition.
     Manifest m = ar.manifest();
@@ -404,11 +407,8 @@ TEST(WindowManifestFuzz, StaleGenerationStampOnWindowedPartitionForcesRescan) {
     util::write_file_atomic(dir / "manifest.bin", write_manifest_bytes(m));
   }
   Archive reopened = Archive::open(dir);
-  QueryOptions qopts;
-  qopts.write_snapshots = false;
-  WindowSelection sel;
-  const QueryResult q = query_window(reopened, 2, qopts, &sel);
-  EXPECT_EQ(sel.count, 2u);
+  const QueryResult q = query_archive(reopened, qopts);
+  EXPECT_EQ(q.windows.count, 2u);
   EXPECT_GT(q.stats.partitions_scanned, 0u);  // the stale shard was not trusted
   EXPECT_EQ(core::write_snapshot_bytes(q.analysis, 0), clean);
   fs::remove_all(dir);

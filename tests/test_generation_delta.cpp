@@ -7,17 +7,25 @@
 // tier-1 merged hits, tier-2 prefix extensions after appends, and the
 // full-merge fallback after a compaction invalidates every cached prefix.
 //
+// The windowed variant streams time windows and compacts them in random
+// order, and checks every window span's answer the same way — plus that a
+// repeated windowed get is one memo lookup (DESIGN.md §12: the memo is keyed
+// by the folded shards' identity, so windowed answers memoize like
+// whole-archive ones).
+//
 // The closed-loop variant runs the same engine under concurrent clients
-// with the parallel merge pool and snapshot writeback on — it carries the
-// "tsan" label so CI replays it under ThreadSanitizer.
+// with the parallel merge pool on — the file carries the "tsan" label so CI
+// replays it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "archive/archive.hpp"
+#include "archive/query.hpp"
 #include "core/snapshot.hpp"
 #include "service/driver.hpp"
 #include "service/service.hpp"
@@ -124,38 +132,95 @@ TEST(GenerationDelta, RandomizedSequenceIsBitIdenticalToSerialReplayEveryGenerat
   std::filesystem::remove_all(dir);
 }
 
-TEST(GenerationDelta, SnapshotCommitKeepsIdentityAndReusesTheWholeAnswer) {
-  // write_snapshots_on_ingest persists rebuilt shards AFTER the ingest
-  // publish: the manifest generation moves again but no partition's data
-  // generation does, so the memoized answer's identity still matches
-  // full-length and the service re-registers it under the new generation
-  // without resolving a single shard.
-  const std::filesystem::path dir = fresh_dir("mlio_gen_delta_snap");
-  seed_archive(dir, 2);
+TEST(GenerationDelta, WindowedGetsAreMemoizedAndMatchSerialReplayEveryGeneration) {
+  const std::filesystem::path dir = fresh_dir("mlio_gen_delta_windows");
+  { archive::Archive::create(dir); }
 
   service::ArchiveService::Options opts;
-  opts.write_snapshots_on_ingest = true;
+  opts.merge_threads = 2;
+  opts.stream.window_seconds = 86400;  // about one window per generator day
   service::ArchiveService svc(dir, opts);
+  const std::vector<service::ServiceFrame> pool = service::make_frame_pool(60, 41);
+  util::Rng rng = util::Rng::stream(2026, 0x3d1full);
+  constexpr std::uint64_t kSpans[] = {0, 1, 2, 3, ~0ull};
 
-  svc.ingest(std::span<const service::ServiceFrame>(frame_pool().data(), 2));
-  const auto first = svc.get(/*keep_analysis=*/true);
-  const auto again = svc.get(/*keep_analysis=*/true);
-  EXPECT_EQ(again.fingerprint, first.fingerprint);
-  EXPECT_EQ(again.stats.query.merged_hits, 1u);
-  EXPECT_EQ(svc.replay_serial(again.pin).fingerprint(), again.fingerprint);
+  std::size_t streamed = 0;
+  std::uint64_t generations = 0;
+  std::uint64_t prefix_merges = 0;
+  std::uint64_t compactions = 0;
+  std::uint64_t last_generation = svc.generation();  // empty: nothing to fold yet
+  for (int step = 0; step < 200 && streamed < pool.size(); ++step) {
+    // Mutate: mostly window appends, sometimes a leveled step or a size-
+    // bounded compaction rewriting the partitions the selections walk.
+    const std::uint64_t draw = rng.uniform_u64(0, 99);
+    if (draw < 70) {
+      const std::size_t n =
+          std::min<std::size_t>(1 + rng.uniform_u64(0, 3), pool.size() - streamed);
+      svc.stream_append(std::span(pool).subspan(streamed, n));
+      streamed += n;
+    } else if (draw < 90) {
+      compactions += svc.compact_step(archive::LeveledPolicy{2}).has_value() ? 1u : 0u;
+    } else {
+      compactions += svc.compact(8 + rng.uniform_u64(0, 16)) > 0 ? 1u : 0u;
+    }
+    if (svc.generation() == last_generation) continue;
+    last_generation = svc.generation();
+    generations += 1;
+
+    archive::Archive reader = archive::Archive::open(dir);
+    for (const std::uint64_t n : kSpans) {
+      const auto first = svc.get_window(n, /*keep_analysis=*/true);
+      ASSERT_EQ(first.generation, last_generation);
+      prefix_merges += first.stats.query.prefix_merges;
+      const core::Analysis replay = svc.replay_serial_window(first.pin, n);
+      ASSERT_EQ(first.fingerprint, replay.fingerprint()) << "step " << step << " n=" << n;
+      ASSERT_NE(first.analysis, nullptr);
+      ASSERT_EQ(state(*first.analysis), state(replay)) << "step " << step << " n=" << n;
+
+      // Asked again at the unchanged generation: one memo lookup, no shard.
+      const auto again = svc.get_window(n);
+      EXPECT_EQ(again.generation, first.generation);
+      EXPECT_EQ(again.fingerprint, first.fingerprint);
+      EXPECT_EQ(again.stats.query.merged_hits, 1u) << "step " << step << " n=" << n;
+      EXPECT_EQ(again.stats.query.shards_served(), 0u) << "step " << step << " n=" << n;
+
+      // The archive engine folds the same suffix to the same bits at any
+      // thread count.
+      archive::QueryOptions q;
+      q.last_windows = n;
+      q.write_snapshots = false;
+      q.threads = 1;
+      const archive::QueryResult one = archive::query_archive(reader, q);
+      q.threads = 4;
+      const archive::QueryResult four = archive::query_archive(reader, q);
+      EXPECT_EQ(one.windows.first, first.windows.first) << "step " << step << " n=" << n;
+      EXPECT_EQ(one.analysis.fingerprint(), first.fingerprint) << "step " << step << " n=" << n;
+      EXPECT_EQ(four.analysis.fingerprint(), first.fingerprint) << "step " << step << " n=" << n;
+    }
+  }
+  svc.stream_flush();
+
+  // The sequence must have exercised every serving tier on real windows.
+  EXPECT_EQ(streamed, pool.size());
+  EXPECT_GT(generations, 10u);
+  EXPECT_GT(svc.stream_stats().windows_published, 8u);
+  EXPECT_GT(prefix_merges, 0u);
+  EXPECT_GT(compactions, 0u);
+  const service::CacheCounters mc = svc.merged_counters();
+  EXPECT_EQ(mc.hits + mc.misses, mc.lookups);
+  EXPECT_EQ(mc.insertions, mc.entries + mc.evictions + mc.purged);
   std::filesystem::remove_all(dir);
 }
 
 TEST(GenerationDelta, ClosedLoopDriverWithMemoAndMergePoolStaysBitIdentical) {
   // The concurrency variant (runs under TSan in CI): concurrent clients
-  // against the memoized + prefix-merging + pooled-merge service, snapshot
-  // writeback on, every observed generation serially replayed.
+  // against the memoized + prefix-merging + pooled-merge service, every
+  // observed generation serially replayed.
   const std::filesystem::path dir = fresh_dir("mlio_gen_delta_loop");
   seed_archive(dir, 3);
 
   service::ArchiveService::Options opts;
   opts.merge_threads = 2;
-  opts.write_snapshots_on_ingest = true;
   service::ArchiveService svc(dir, opts);
 
   service::WorkloadConfig cfg;

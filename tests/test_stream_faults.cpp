@@ -154,10 +154,11 @@ TEST_F(StreamFaultsTest, ReopenedArchivesAnswerWindowedQueries) {
       }
       newest = std::max(newest, p.window_max);
     }
-    WindowSelection sel;
-    const QueryResult q = query_window(ar, 2, {}, &sel);
-    ASSERT_EQ(sel.newest_window, newest);
-    (void)q;
+    QueryOptions opts;
+    opts.last_windows = 2;
+    opts.write_snapshots = false;  // read-only probe of the crashed state
+    const QueryResult q = query_archive(ar, opts);
+    ASSERT_EQ(q.windows.newest_window, newest);
     checked += 1;
   };
   live_workload(frames, /*snapshots=*/false)(dir, vfs);

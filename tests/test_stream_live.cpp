@@ -26,6 +26,7 @@
 #include "service/driver.hpp"
 #include "service/service.hpp"
 #include "util/error.hpp"
+#include "util/vfs.hpp"
 
 namespace mlio::service {
 namespace {
@@ -211,6 +212,51 @@ TEST(StreamLive, RacingReadersVerifyAgainstPinnedReplayInFlight) {
   EXPECT_GT(checks.load(), 0u);
   EXPECT_EQ(svc.compactor_errors(), 0u);
   EXPECT_TRUE(svc.gc_errors().empty());
+  EXPECT_EQ(svc.deferred_gc_pending(), 0u);
+}
+
+// A compactor whose merges fail (full disk, I/O errors) must neither spin
+// nor go quiet: it records the error, backs off exponentially, and merges
+// again once the faults stop.
+TEST(StreamLive, FailingCompactorBacksOffReportsAndRecovers) {
+  const fs::path dir = fresh_dir("mlio_live_backoff");
+  { archive::Archive::create(dir); }
+  {
+    ArchiveService seed(dir, live_options());
+    const std::vector<ServiceFrame> pool = make_frame_pool(60, 5);
+    (void)seed.stream_append(pool);
+    (void)seed.stream_flush();
+    ASSERT_GE(seed.pin().manifest().partitions.size(), 4u);
+  }
+
+  // The first three merged-segment writes fail; then the faults run out.
+  util::FaultVfs vfs(util::FaultPlan::parse(
+      "fail-write@1:*.seg.tmp;fail-write@1:*.seg.tmp;fail-write@1:*.seg.tmp"));
+  ArchiveService svc(dir, live_options(), vfs);
+  ArchiveService::CompactorOptions copts;
+  copts.policy.fanout = 4;
+  copts.interval = std::chrono::milliseconds(5);
+  const auto t0 = std::chrono::steady_clock::now();
+  svc.start_compactor(copts);
+  const auto deadline = t0 + std::chrono::seconds(30);
+  while (svc.compactions() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  svc.stop_compactor();
+
+  EXPECT_GE(svc.compactions(), 1u) << "the compactor never merged after the faults ran out";
+  EXPECT_EQ(svc.compactor_errors(), 3u);
+  EXPECT_EQ(svc.compactor_consecutive_failures(), 0u);
+  EXPECT_NE(svc.compactor_last_error().find("simulated write failure"), std::string::npos)
+      << svc.compactor_last_error();
+  // Backoff after failures 1..3 is 10 + 20 + 40 ms; a fixed 5 ms poll would
+  // have retried three times within 15 ms.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(70));
+
+  // The merged archive still answers like its serial replay.
+  const ArchiveService::GetResult whole = svc.get();
+  EXPECT_EQ(whole.fingerprint, svc.replay_serial(whole.pin).fingerprint());
   EXPECT_EQ(svc.deferred_gc_pending(), 0u);
 }
 

@@ -59,6 +59,15 @@ fs::path fresh_dir(const std::string& name) {
   return dir;
 }
 
+/// The windowed query, read-only: snapshot write-back off, so probing the
+/// archive never changes what the next probe reads.
+QueryResult last_windows(Archive& ar, std::uint64_t n) {
+  QueryOptions opts;
+  opts.last_windows = n;
+  opts.write_snapshots = false;
+  return query_archive(ar, opts);
+}
+
 std::vector<std::byte> state_bytes(const core::Analysis& a) {
   return core::write_snapshot_bytes(a, 0);
 }
@@ -99,8 +108,8 @@ core::Analysis oracle(const std::vector<Frame>& frames, const Manifest& m,
 void check_all_windows(Archive& ar, const std::vector<Frame>& frames,
                        std::uint64_t newest_window) {
   for (std::uint64_t n = 0; n <= newest_window + 2; ++n) {
-    WindowSelection sel;
-    const QueryResult q = query_window(ar, n, {}, &sel);
+    const QueryResult q = last_windows(ar, n);
+    const WindowSelection& sel = q.windows;
     EXPECT_EQ(sel.newest_window, newest_window) << "n=" << n;
     EXPECT_EQ(state_bytes(q.analysis), state_bytes(oracle(frames, ar.manifest(), sel)))
         << "n=" << n;
@@ -138,8 +147,7 @@ TEST(WindowQuery, AlignedCutsAreBitIdenticalToFrameOracleForEveryN) {
   check_all_windows(ar, frames, 8);
 
   // At aligned cuts the selection covers EXACTLY the requested windows.
-  WindowSelection sel;
-  (void)query_window(ar, 3, {}, &sel);
+  const WindowSelection sel = last_windows(ar, 3).windows;
   EXPECT_EQ(sel.windows_covered, 3u);
   EXPECT_EQ(sel.count, 3u);
 }
@@ -188,8 +196,8 @@ TEST(WindowQuery, SnapshotAndRescanAnswersAreBitIdentical) {
   }
   (void)ing.flush();
 
-  WindowSelection sel;
-  const QueryResult from_snap = query_window(ar, 2, {}, &sel);
+  const QueryResult from_snap = last_windows(ar, 2);
+  const WindowSelection& sel = from_snap.windows;
   EXPECT_EQ(from_snap.stats.snapshot_hits, sel.count);
   EXPECT_EQ(from_snap.stats.partitions_scanned, 0u);
 
@@ -198,7 +206,7 @@ TEST(WindowQuery, SnapshotAndRescanAnswersAreBitIdentical) {
     fs::remove(ar.snapshot_path(p.id));
   }
   ar.reload();
-  const QueryResult rescanned = query_window(ar, 2);
+  const QueryResult rescanned = last_windows(ar, 2);
   EXPECT_GT(rescanned.stats.partitions_scanned, 0u);
   EXPECT_EQ(state_bytes(rescanned.analysis), state_bytes(from_snap.analysis));
 }
@@ -262,8 +270,7 @@ TEST(WindowQuery, TimelineCoversExactlyTheSelectedSuffix) {
   }
   (void)ing.flush();
 
-  WindowSelection sel;
-  (void)query_window(ar, 2, {}, &sel);
+  const WindowSelection sel = last_windows(ar, 2).windows;
   ASSERT_EQ(sel.count, 2u);  // windows 3 and 4 -> the last two partitions
   const core::LoadTimeline tl = window_timeline(ar, ar.manifest(), sel, 500, 50);
 
