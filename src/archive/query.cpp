@@ -1,8 +1,11 @@
 #include "archive/query.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <mutex>
+#include <numeric>
+#include <optional>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -65,6 +68,15 @@ void QueryStats::merge(const QueryStats& other) {
   accumulate_seconds += other.accumulate_seconds;
 }
 
+std::vector<std::size_t> largest_first(std::span<const PartitionInfo> parts) {
+  std::vector<std::size_t> order(parts.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return parts[a].segment_bytes > parts[b].segment_bytes;
+  });
+  return order;
+}
+
 QueryResult query_archive(Archive& archive, const QueryOptions& opts) {
   QueryScratch scratch;
   return query_archive(archive, opts, scratch);
@@ -113,18 +125,16 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScrat
                               }
                             });
   if (first_error) rethrow_rebuild_error(archive, partitions[first_error_slot], first_error);
-  std::vector<std::size_t> rebuild;
-  for (std::size_t i = 0; i < partitions.size(); ++i) {
-    if (shards[i].has_value()) {
-      stats.snapshot_hits += 1;
-    } else {
-      rebuild.push_back(i);
-    }
+  std::vector<std::size_t> rebuild;  ///< slots to rebuild, largest segment first
+  for (const std::size_t i : largest_first(partitions)) {
+    if (!shards[i].has_value()) rebuild.push_back(i);
   }
+  stats.snapshot_hits = partitions.size() - rebuild.size();
 
   // Pass 2: rebuild missing shards in parallel — one partition per block,
-  // handed to idle workers.  Each shard is a sequential accumulation over
-  // its own logs, so parallelism never changes a single bit of the result.
+  // handed to idle workers in largest_first order.  Each shard is a
+  // sequential accumulation over its own logs into its own slot, so neither
+  // parallelism nor the schedule changes a single bit of the result.
   // Rebuilt shards that should be persisted are written back as snapshot
   // FILES right here on the worker that built them (write_snapshot_file
   // touches no shared state); the manifest registers the whole batch in one
@@ -152,7 +162,9 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScrat
       scratch.analyze[i].phases = &scratch.phases[i];
       scratch.analyze[i].seed_compat_summarize = opts.seed_compat;
     }
-    std::vector<Archive::SnapshotReceipt> receipts(rebuild.size());
+    // Indexed by slot, so the commit below sees receipts in manifest order
+    // whatever order the schedule finished them in.
+    std::vector<std::optional<Archive::SnapshotReceipt>> receipts(partitions.size());
     pool.parallel_for_dynamic(
         0, rebuild.size(), 1,
         [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
@@ -169,7 +181,7 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScrat
                   },
                   scratch.scan[w], scan_opts);
               if (opts.write_snapshots) {
-                receipts[static_cast<std::size_t>(r)] =
+                receipts[slot] =
                     archive.write_snapshot_file(partitions[slot], shard, opts.snapshot_options);
               }
               shards[slot] = std::move(shard);
@@ -187,7 +199,12 @@ QueryResult query_archive(Archive& archive, const QueryOptions& opts, QueryScrat
       stats.accumulate_seconds += scratch.phases[i].accumulate_seconds;
     }
     if (opts.write_snapshots) {
-      stats.snapshots_written = archive.commit_snapshots(receipts);
+      std::vector<Archive::SnapshotReceipt> written;
+      written.reserve(rebuild.size());
+      for (const auto& receipt : receipts) {
+        if (receipt) written.push_back(*receipt);
+      }
+      stats.snapshots_written = archive.commit_snapshots(written);
     }
   }
   stats.scan_seconds = seconds_since(t0);

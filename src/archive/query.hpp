@@ -80,6 +80,15 @@ struct WindowSelection {
 /// whole archive.
 WindowSelection select_last_windows(const Manifest& m, std::uint64_t last_windows);
 
+/// Rebuild schedule shared by query_archive and ArchiveService: indices into
+/// `parts` ordered by segment_bytes, descending, ties in manifest order.  A
+/// parallel rebuild handed out in manifest order starts the heavy-tailed
+/// huge-stratum partition (appended last by ingest) last, where it
+/// straggles; largest first lets the small shards fill in around it.  Only
+/// the order work starts in changes — every shard still lands in its own
+/// slot and shards merge in manifest order.
+std::vector<std::size_t> largest_first(std::span<const PartitionInfo> parts);
+
 struct QueryOptions {
   unsigned threads = 0;  ///< 0 = hardware concurrency
   /// Fold only the partition suffix covering the last N time windows

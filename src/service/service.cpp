@@ -205,19 +205,21 @@ std::vector<std::shared_ptr<const core::Analysis>> ArchiveService::resolve_all(
     for (std::size_t i = 0; i < parts.size(); ++i) shards[i] = resolve_shard(parts[i], stats);
     return shards;
   }
-  // Fan the resolutions out over the merge pool: every shard lands in its
-  // own slot and the per-worker stats fold after the join, so the shards —
-  // and therefore the fold — are bit-identical to the serial loop.
+  // Fan the resolutions out over the merge pool, largest segment first (the
+  // query engine's schedule): every shard lands in its own slot and the
+  // per-worker stats fold after the join, so the shards — and therefore the
+  // fold — are bit-identical to the serial loop.
+  const std::vector<std::size_t> order = archive::largest_first(parts);
   std::vector<ServiceStats> worker_stats(pool_->thread_count());
   std::exception_ptr first_error;
   std::mutex error_mu;
   pool_->parallel_for_dynamic(
       0, parts.size(), 1, [&](std::uint64_t b, std::uint64_t lo, std::uint64_t hi, unsigned w) {
         (void)b;
-        for (std::uint64_t i = lo; i < hi; ++i) {
+        for (std::uint64_t r = lo; r < hi; ++r) {
+          const std::size_t i = order[static_cast<std::size_t>(r)];
           try {
-            shards[static_cast<std::size_t>(i)] =
-                resolve_shard(parts[static_cast<std::size_t>(i)], worker_stats[w]);
+            shards[i] = resolve_shard(parts[i], worker_stats[w]);
           } catch (...) {
             const std::scoped_lock lock(error_mu);
             if (!first_error) first_error = std::current_exception();

@@ -5,6 +5,10 @@
 #include <algorithm>
 #include <limits>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
 #include "util/error.hpp"
 #include "util/inflate_fast.hpp"
 
@@ -128,13 +132,107 @@ std::vector<std::byte> zlib_decompress(std::span<const std::byte> input,
   return out;
 }
 
+namespace {
+
+// CRC-32 by carry-less multiplication (Intel, "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", 2009), in the
+// bit-reflected domain of zlib's polynomial 0xEDB88320.  Four 128-bit lanes
+// fold 64 bytes per step, collapse to one lane, then to 64 bits, and a
+// Barrett reduction yields the 32-bit remainder — the same value zlib's
+// table CRC computes, so every stored checksum is unchanged.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define MLIO_CRC32_CLMUL 1
+
+constexpr std::size_t kClmulMinBytes = 64;  ///< one full 4-lane block
+
+// clmul_fold(x, k) = x.lo*k.lo ^ x.hi*k.hi: carries a 128-bit lane forward by
+// the distance k encodes (512 bits with k1k2, 128 with k3k4).  A lambda
+// would not inherit the target attribute, hence a function.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i clmul_fold(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), _mm_clmulepi64_si128(x, k, 0x11));
+}
+
+inline __m128i load16(const std::byte* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Folds `len` bytes (a multiple of 16, at least kClmulMinBytes) into the
+/// running CRC register `crc` (pre-inverted, zlib's internal form).
+__attribute__((target("pclmul,sse4.1"))) std::uint32_t crc32_clmul(const std::byte* buf,
+                                                                    std::size_t len,
+                                                                    std::uint32_t crc) {
+  // Intel's bit-reflected constants for 0xEDB88320: k1,k2 fold a lane
+  // 512 bits, k3,k4 fold 128 bits, k5 folds 96 -> 64 bits, and (P', mu)
+  // drive the Barrett reduction.
+  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+
+  __m128i x1 = _mm_xor_si128(load16(buf), _mm_cvtsi32_si128(static_cast<int>(crc)));
+  __m128i x2 = load16(buf + 16);
+  __m128i x3 = load16(buf + 32);
+  __m128i x4 = load16(buf + 48);
+  buf += 64;
+  len -= 64;
+  while (len >= 64) {
+    x1 = _mm_xor_si128(clmul_fold(x1, k1k2), load16(buf));
+    x2 = _mm_xor_si128(clmul_fold(x2, k1k2), load16(buf + 16));
+    x3 = _mm_xor_si128(clmul_fold(x3, k1k2), load16(buf + 32));
+    x4 = _mm_xor_si128(clmul_fold(x4, k1k2), load16(buf + 48));
+    buf += 64;
+    len -= 64;
+  }
+  x1 = _mm_xor_si128(clmul_fold(x1, k3k4), x2);
+  x1 = _mm_xor_si128(clmul_fold(x1, k3k4), x3);
+  x1 = _mm_xor_si128(clmul_fold(x1, k3k4), x4);
+  while (len >= 16) {
+    x1 = _mm_xor_si128(clmul_fold(x1, k3k4), load16(buf));
+    buf += 16;
+    len -= 16;
+  }
+
+  // 128 -> 64 bits, then 64 -> 32 + Barrett.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), poly, 0x00);
+  return static_cast<std::uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+
+bool have_clmul() {
+  static const bool ok = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  return ok;
+}
+#endif
+
+/// Continue the CRC `c` over `n` bytes — one zlib crc32() call's contract.
+/// Inputs under 64 bytes, the sub-16-byte tail, and hosts without PCLMUL
+/// take zlib's table path.
+uLong crc32_update(uLong c, const std::byte* p, std::size_t n) {
+#ifdef MLIO_CRC32_CLMUL
+  if (n >= kClmulMinBytes && have_clmul()) {
+    const std::size_t body = n & ~std::size_t{15};
+    c = ~crc32_clmul(p, body, ~static_cast<std::uint32_t>(c));
+    p += body;
+    n -= body;
+    if (n == 0) return c;
+  }
+#endif
+  return ::crc32(c, reinterpret_cast<const Bytef*>(p), static_cast<uInt>(n));
+}
+
+}  // namespace
+
 std::uint32_t crc32_chunked(std::span<const std::byte> input, std::size_t chunk_bytes) {
   MLIO_ASSERT(chunk_bytes >= 1);
   uLong c = ::crc32(0L, nullptr, 0);
   std::size_t off = 0;
   while (off < input.size()) {
     const std::size_t n = std::min(chunk_bytes, input.size() - off);
-    c = ::crc32(c, reinterpret_cast<const Bytef*>(input.data() + off), static_cast<uInt>(n));
+    c = crc32_update(c, input.data() + off, n);
     off += n;
   }
   return static_cast<std::uint32_t>(c);

@@ -172,6 +172,81 @@ TEST_F(ArchiveTest, QueryIsThreadCountInvariant) {
   EXPECT_EQ(state(a.analysis), state(b.analysis));
 }
 
+PartitionInfo sized(std::uint64_t id, std::uint64_t segment_bytes) {
+  PartitionInfo p;
+  p.id = id;
+  p.segment_bytes = segment_bytes;
+  return p;
+}
+
+TEST(LargestFirst, OrdersBySegmentBytesDescendingWithStableTies) {
+  EXPECT_TRUE(largest_first({}).empty());
+
+  const std::vector<PartitionInfo> mixed = {sized(1, 30), sized(2, 90), sized(3, 30),
+                                            sized(4, 10), sized(5, 90), sized(6, 30)};
+  EXPECT_EQ(largest_first(mixed), (std::vector<std::size_t>{1, 4, 0, 2, 5, 3}));
+
+  const std::vector<PartitionInfo> equal = {sized(1, 7), sized(2, 7), sized(3, 7), sized(4, 7)};
+  EXPECT_EQ(largest_first(equal), (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST_F(ArchiveTest, LargestFirstRebuildsAreBitIdenticalToSerialReplay) {
+  // The huge stratum is ingested as the LAST partition and is the largest,
+  // so the largest-first schedule starts it first — the order that differs
+  // most from manifest order.  The answer must still be the serial
+  // partition-order replay at any thread count, and snapshot write-back
+  // must leave byte-identical manifests.
+  const auto gen = make_gen(24, 41);
+  const fs::path base = dir_ / "base";
+  {
+    Archive ar = Archive::create(base);
+    IngestOptions iopts;
+    iopts.batches = 4;
+    iopts.include_huge = true;
+    ingest_generated(ar, gen, iopts);
+  }
+  Archive ar = Archive::open(base);
+  const std::vector<PartitionInfo>& parts = ar.manifest().partitions;
+  ASSERT_GE(parts.size(), 3u);
+  ASSERT_EQ(largest_first(parts).front(), parts.size() - 1) << "huge partition is not largest";
+
+  core::Analysis replay;
+  Archive::ScanScratch scan_scratch;
+  ScanOptions depth1;
+  depth1.mlp_depth = 1;
+  for (const PartitionInfo& p : parts) {
+    core::Analysis shard;
+    ar.scan_partition(p, [&](const darshan::LogData& log) { shard.add(log); }, scan_scratch,
+                      depth1);
+    replay.merge(shard);
+  }
+  const std::uint64_t want = replay.fingerprint();
+
+  std::vector<std::byte> manifest_after_writeback;
+  for (const bool write_snapshots : {false, true}) {
+    for (const unsigned threads : {1u, 2u, 8u}) {
+      const fs::path copy = dir_ / ("t" + std::to_string(threads) +
+                                    (write_snapshots ? "_snap" : "_nosnap"));
+      fs::copy(base, copy, fs::copy_options::recursive);
+      Archive run = Archive::open(copy);
+      QueryOptions q;
+      q.threads = threads;
+      q.write_snapshots = write_snapshots;
+      const QueryResult cold = query_archive(run, q);
+      EXPECT_EQ(cold.stats.partitions_scanned, parts.size()) << "threads=" << threads;
+      EXPECT_EQ(cold.analysis.fingerprint(), want) << "threads=" << threads;
+      if (!write_snapshots) continue;
+      EXPECT_EQ(cold.stats.snapshots_written, parts.size());
+      const std::vector<std::byte> manifest = run.vfs().read_file(run.manifest_path());
+      if (manifest_after_writeback.empty()) manifest_after_writeback = manifest;
+      EXPECT_EQ(manifest, manifest_after_writeback) << "threads=" << threads;
+      const QueryResult warm = query_archive(run, q);
+      EXPECT_EQ(warm.stats.snapshot_hits, parts.size());
+      EXPECT_EQ(warm.analysis.fingerprint(), want) << "threads=" << threads;
+    }
+  }
+}
+
 TEST_F(ArchiveTest, CompactMergesSmallPartitionsAndPreservesCounts) {
   const auto gen = make_gen(30, 41);
   Archive ar = Archive::create(dir_);

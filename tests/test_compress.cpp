@@ -1,6 +1,7 @@
 #include "util/compress.hpp"
 
 #include <gtest/gtest.h>
+#include <zlib.h>
 
 #include <cstring>
 #include <string>
@@ -60,6 +61,45 @@ TEST(Compress, Crc32KnownVector) {
   // CRC-32 of "123456789" is the classic check value 0xCBF43926.
   EXPECT_EQ(crc32(to_bytes("123456789")), 0xCBF43926u);
   EXPECT_EQ(crc32({}), 0u);
+}
+
+std::uint32_t zlib_crc32(std::span<const std::byte> input) {
+  return static_cast<std::uint32_t>(
+      ::crc32(0L, reinterpret_cast<const Bytef*>(input.data()), static_cast<uInt>(input.size())));
+}
+
+// crc32 may take a carry-less-multiply path; its values must be zlib's for
+// every length across the 64-byte dispatch threshold and the 16-byte fold
+// granularity, at every load alignment.
+TEST(Compress, Crc32MatchesZlibAtEveryLengthAndAlignment) {
+  Rng rng(11);
+  std::vector<std::byte> buf(1100 + 16);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next() & 0xff);
+  for (std::size_t align = 0; align < 16; ++align) {
+    for (std::size_t len = 0; len <= 1100; ++len) {
+      const std::span<const std::byte> in(buf.data() + align, len);
+      ASSERT_EQ(crc32(in), zlib_crc32(in)) << "len=" << len << " align=" << align;
+    }
+  }
+}
+
+TEST(Compress, Crc32MatchesZlibOnConstantBuffers) {
+  for (const std::byte fill : {std::byte{0x00}, std::byte{0xff}}) {
+    const std::vector<std::byte> buf(64 * 1024, fill);
+    EXPECT_EQ(crc32(buf), zlib_crc32(buf)) << "fill=" << static_cast<int>(fill);
+  }
+}
+
+TEST(Compress, Crc32ChunkedChainsLikeZlib) {
+  Rng rng(12);
+  std::vector<std::byte> buf(1024 * 1024);
+  for (auto& b : buf) b = static_cast<std::byte>(rng.next() & 0xff);
+  const std::uint32_t want = zlib_crc32(buf);
+  const std::size_t chunks[] = {1, 15, 16, 63, 64, 65, 4096};
+  for (const std::size_t chunk : chunks) {
+    EXPECT_EQ(crc32_chunked(buf, chunk), want) << "chunk=" << chunk;
+  }
+  EXPECT_EQ(crc32(buf), want);
 }
 
 }  // namespace
