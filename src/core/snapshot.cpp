@@ -52,7 +52,6 @@ Analysis read_snapshot_bytes(std::span<const std::byte> data, std::uint64_t* tag
   const std::span<const std::byte> stored = r.bytes(static_cast<std::size_t>(stored_size));
   if (!r.at_end()) throw util::FormatError("snapshot: trailing bytes");
 
-  std::vector<std::byte> unpacked;
   std::span<const std::byte> body = stored;
   if ((flags & kSnapshotFlagCompressed) != 0) {
     // Bound the pre-allocation before trusting body_size: zlib cannot expand
@@ -62,11 +61,11 @@ Analysis read_snapshot_bytes(std::span<const std::byte> data, std::uint64_t* tag
     }
     // Fast whole-buffer inflate; the frame CRC below covers the body, so the
     // Adler-32 trailer pass is redundant.  The engine keeps its window state
-    // per thread, so warm queries loading many snapshots allocate nothing.
+    // per thread and decodes into its high-water buffer, so warm queries
+    // loading many snapshots neither allocate nor zero-fill.
     thread_local util::Inflater inflater;
-    inflater.decompress(stored, static_cast<std::size_t>(body_size), unpacked,
-                        util::InflateEngine::kFast, /*verify_checksum=*/false);
-    body = unpacked;
+    body = inflater.decompress_view(stored, static_cast<std::size_t>(body_size),
+                                    util::InflateEngine::kFast, /*verify_checksum=*/false);
   } else if (body_size != stored_size) {
     throw util::FormatError("snapshot: body size mismatch");
   }

@@ -349,11 +349,10 @@ std::span<const std::byte> read_log_frame_body(std::span<const std::byte> data,
     // The frame CRC below covers the decompressed body, so the fast engine
     // skips its redundant Adler-32 pass; the seed-compat lane keeps the
     // original streaming zlib decode as the honest baseline.
-    io.inflater.decompress(stored, static_cast<std::size_t>(body_size), io.unpacked,
-                           opts.seed_compat_parse ? util::InflateEngine::kZlib
-                                                  : util::InflateEngine::kFast,
-                           /*verify_checksum=*/false);
-    body = io.unpacked;
+    body = io.inflater.decompress_view(stored, static_cast<std::size_t>(body_size),
+                                       opts.seed_compat_parse ? util::InflateEngine::kZlib
+                                                              : util::InflateEngine::kFast,
+                                       /*verify_checksum=*/false);
   } else {
     if (body_size != stored_size) throw FormatError("size mismatch in uncompressed log");
     body = stored;  // parse straight from the input frame; no copy needed

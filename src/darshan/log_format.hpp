@@ -57,9 +57,8 @@ struct LogIoBuffers {
   util::ByteWriter body;             ///< uncompressed body under construction
   util::ByteWriter frame;            ///< header + payload (the on-disk bytes)
   std::vector<std::byte> packed;     ///< compressed payload (write path)
-  std::vector<std::byte> unpacked;   ///< decompressed body (read path)
   util::Deflater deflater;
-  util::Inflater inflater;
+  util::Inflater inflater;           ///< also owns the decompressed body (read path)
   /// Per-module record buckets for write_body's region grouping (numeric
   /// ModuleId order equals the old std::map order, so emitted bytes are
   /// unchanged); reused across logs.

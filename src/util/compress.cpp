@@ -72,10 +72,16 @@ struct Inflater::Impl {
   z_stream zs{};
   bool live = false;
   InflateScratch fast;  ///< Huffman-table storage for the kFast engine
+  /// The decoded body: high-water size, never value-initialized.
+  std::unique_ptr<std::byte[]> view;
+  std::size_t view_capacity = 0;
 
   ~Impl() {
     if (live) inflateEnd(&zs);
   }
+
+  void inflate(std::span<const std::byte> input, std::span<std::byte> out, InflateEngine engine,
+               bool verify_checksum);
 };
 
 Inflater::Inflater() : impl_(std::make_unique<Impl>()) {}
@@ -83,38 +89,55 @@ Inflater::~Inflater() = default;
 Inflater::Inflater(Inflater&&) noexcept = default;
 Inflater& Inflater::operator=(Inflater&&) noexcept = default;
 
-void Inflater::decompress(std::span<const std::byte> input, std::size_t expected_size,
-                          std::vector<std::byte>& out, InflateEngine engine,
-                          bool verify_checksum) {
+namespace {
+
+void check_single_shot(std::span<const std::byte> input, std::size_t expected_size) {
   if (input.size() > kMaxZlibSingleShot || expected_size > kMaxZlibSingleShot) {
     // The kFast engine is size_t-clean, but a frame header claiming a >4 GiB
     // body is corrupt regardless of engine — reject before allocating it.
     throw FormatError("inflate: size exceeds the 4 GiB single-shot bound");
   }
-  out.resize(expected_size);
-  if (expected_size == 0 && input.empty()) return;
+}
+
+}  // namespace
+
+void Inflater::Impl::inflate(std::span<const std::byte> input, std::span<std::byte> out,
+                             InflateEngine engine, bool verify_checksum) {
+  if (out.empty() && input.empty()) return;
   if (engine == InflateEngine::kFast) {
-    inflate_zlib(input, out, impl_->fast, verify_checksum);
+    inflate_zlib(input, out, fast, verify_checksum);
     return;
   }
-  if (!impl_->live) {
-    if (inflateInit(&impl_->zs) != Z_OK) throw FormatError("zlib inflateInit failed");
-    impl_->live = true;
-  } else if (inflateReset(&impl_->zs) != Z_OK) {
+  if (!live) {
+    if (inflateInit(&zs) != Z_OK) throw FormatError("zlib inflateInit failed");
+    live = true;
+  } else if (inflateReset(&zs) != Z_OK) {
     throw FormatError("zlib inflateReset failed");
   }
 
-  z_stream& zs = impl_->zs;
   zs.next_in = const_cast<Bytef*>(reinterpret_cast<const Bytef*>(input.data()));
   zs.avail_in = static_cast<uInt>(input.size());
   // inflate needs a non-empty output buffer even for an empty stream; hand
   // it a dummy byte and let the total_out check below reject real output.
   Bytef dummy;
-  zs.next_out = expected_size != 0 ? reinterpret_cast<Bytef*>(out.data()) : &dummy;
-  zs.avail_out = expected_size != 0 ? static_cast<uInt>(out.size()) : 1;
-  const int rc = inflate(&zs, Z_FINISH);
+  zs.next_out = !out.empty() ? reinterpret_cast<Bytef*>(out.data()) : &dummy;
+  zs.avail_out = !out.empty() ? static_cast<uInt>(out.size()) : 1;
+  const int rc = ::inflate(&zs, Z_FINISH);
   if (rc != Z_STREAM_END) throw FormatError("zlib decompression failed");
-  if (zs.total_out != expected_size) throw FormatError("decompressed size mismatch");
+  if (zs.total_out != out.size()) throw FormatError("decompressed size mismatch");
+}
+
+std::span<const std::byte> Inflater::decompress_view(std::span<const std::byte> input,
+                                                     std::size_t expected_size,
+                                                     InflateEngine engine, bool verify_checksum) {
+  check_single_shot(input, expected_size);
+  if (expected_size > impl_->view_capacity) {
+    impl_->view = std::make_unique_for_overwrite<std::byte[]>(expected_size);
+    impl_->view_capacity = expected_size;
+  }
+  const std::span<std::byte> out(impl_->view.get(), expected_size);
+  impl_->inflate(input, out, engine, verify_checksum);
+  return out;
 }
 
 std::vector<std::byte> zlib_compress(std::span<const std::byte> input, int level) {
@@ -127,9 +150,8 @@ std::vector<std::byte> zlib_compress(std::span<const std::byte> input, int level
 std::vector<std::byte> zlib_decompress(std::span<const std::byte> input,
                                        std::size_t expected_size) {
   Inflater inflater;
-  std::vector<std::byte> out;
-  inflater.decompress(input, expected_size, out);
-  return out;
+  const std::span<const std::byte> body = inflater.decompress_view(input, expected_size);
+  return {body.begin(), body.end()};
 }
 
 namespace {

@@ -32,7 +32,7 @@ class Deflater {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Which decoder backs Inflater::decompress.  kFast is the whole-buffer
+/// Which decoder backs Inflater::decompress_view.  kFast is the whole-buffer
 /// decoder in util/inflate_fast.hpp (same strictness, ~2x throughput, skips
 /// the Adler-32 when the caller CRCs the output itself); kZlib is the
 /// original streaming zlib path, kept as the honest seed-compat baseline.
@@ -49,15 +49,21 @@ class Inflater {
   Inflater(Inflater&&) noexcept;
   Inflater& operator=(Inflater&&) noexcept;
 
-  /// Inflate `input` into `out`, which is resized to `expected_size` (the
-  /// exact decompressed size recorded in the log header).  Throws
-  /// FormatError on corrupt data or size mismatch.  With kFast the stream's
-  /// Adler-32 trailer is verified only when `verify_checksum` is set;
-  /// callers that CRC the output afterwards skip the redundant pass.  The
-  /// kZlib engine always verifies (that is zlib's contract).
-  void decompress(std::span<const std::byte> input, std::size_t expected_size,
-                  std::vector<std::byte>& out, InflateEngine engine = InflateEngine::kFast,
-                  bool verify_checksum = true);
+  /// Inflate `input` into storage the Inflater owns and return a view of
+  /// exactly `expected_size` (the decompressed size recorded in the frame
+  /// header), valid until the next call.  The storage keeps its high-water
+  /// size and its growth is never zero-filled (the decoder writes every byte
+  /// it returns), so a reader that decodes frame after frame pays neither a
+  /// fill nor a reallocation per frame.  Throws FormatError on corrupt data,
+  /// a size mismatch or a size past the 4 GiB bound (checked before any
+  /// allocation).  With kFast the stream's Adler-32 trailer is verified only
+  /// when `verify_checksum` is set; callers that CRC the output afterwards
+  /// skip the redundant pass.  The kZlib engine always verifies (that is
+  /// zlib's contract).
+  std::span<const std::byte> decompress_view(std::span<const std::byte> input,
+                                             std::size_t expected_size,
+                                             InflateEngine engine = InflateEngine::kFast,
+                                             bool verify_checksum = true);
 
  private:
   struct Impl;

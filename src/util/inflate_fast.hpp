@@ -5,9 +5,10 @@
 // size, dictionary support).  This decoder exploits what the log format
 // guarantees — the whole compressed payload is in memory and the exact
 // decompressed size is recorded in the frame header — to run a
-// libdeflate-style fast loop: a 64-bit bit buffer refilled 8 bytes at a
-// time, two-level Huffman tables (single lookup for codes <= root bits),
-// and 8-byte chunked match copies with hoisted bounds checks.
+// libdeflate-class fast loop: a 64-bit bit buffer with branchless refills,
+// table entries that consume code and extra bits in one shift, the next
+// lookup issued before the current literal or match is written, and
+// word-at-a-time match copies inside hoisted bounds margins.
 //
 // Strictness matches the zlib path it replaces: any malformation (bad
 // header, oversubscribed/incomplete code sets, invalid symbols, distances
@@ -17,19 +18,25 @@
 // because the frame's CRC-32 of the body is verified immediately after.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace mlio::util {
 
-/// Reusable Huffman-table storage so per-block dynamic table builds do not
-/// allocate after the first few logs.  One instance per worker thread.
+/// Huffman decode-table storage, reused across blocks and streams so the
+/// dynamic table builds never allocate.  Fixed arrays sized by zlib's ENOUGH
+/// bounds for the decoder's root widths (litlen root 11, distance root 8,
+/// precode root 7): no code the format admits needs more.  One instance per
+/// worker thread; contents are scratch.
 struct InflateScratch {
-  std::vector<std::uint32_t> litlen;   ///< literal/length table (root + subs)
-  std::vector<std::uint32_t> dist;     ///< distance table (root + subs)
-  std::vector<std::uint32_t> codelen;  ///< code-length table (dynamic header)
+  static constexpr std::size_t kLitlenEnough = 2342;  ///< zlib `enough 288 11 15`
+  static constexpr std::size_t kDistEnough = 402;     ///< zlib `enough 32 8 15`
+  static constexpr std::size_t kPrecodeSize = 128;    ///< 7-bit root, no sub-tables
+  std::array<std::uint32_t, kLitlenEnough> litlen{};  ///< literal/length (root + subs)
+  std::array<std::uint32_t, kDistEnough> dist{};      ///< distance (root + subs)
+  std::array<std::uint32_t, kPrecodeSize> precode{};  ///< code-length code
 };
 
 /// Decompress the complete zlib stream `input` into `out`, which must be

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <zlib.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -50,6 +51,31 @@ TEST(Compress, CorruptDataThrows) {
 TEST(Compress, WrongExpectedSizeThrows) {
   const auto packed = zlib_compress(to_bytes("abcdef"));
   EXPECT_THROW(zlib_decompress(packed, 3), FormatError);
+}
+
+// decompress_view returns exactly the frame's bytes from a buffer that only
+// grows, for both engines, and rejects a wrong or >4 GiB expected size.
+TEST(Compress, InflaterViewIsExactAcrossGrowAndShrink) {
+  Inflater inflater;
+  Rng rng(3);
+  for (const InflateEngine engine : {InflateEngine::kFast, InflateEngine::kZlib}) {
+    for (const std::size_t n : {std::size_t{5000}, std::size_t{40}, std::size_t{70000},
+                                std::size_t{0}, std::size_t{300}}) {
+      std::vector<std::byte> input(n);
+      for (auto& b : input) b = static_cast<std::byte>(rng.next() % 7);
+      const auto packed = zlib_compress(input);
+      const std::span<const std::byte> view = inflater.decompress_view(packed, n, engine);
+      ASSERT_EQ(view.size(), n);
+      EXPECT_TRUE(std::equal(view.begin(), view.end(), input.begin(), input.end())) << n;
+      if (n != 0) {
+        EXPECT_THROW(inflater.decompress_view(packed, n - 1, engine), FormatError);
+      }
+      EXPECT_THROW(inflater.decompress_view(packed, n + 1, engine), FormatError);
+    }
+  }
+  // A >4 GiB claim is refused before anything is allocated for it.
+  const auto packed = zlib_compress(to_bytes("abc"));
+  EXPECT_THROW(inflater.decompress_view(packed, std::size_t{5} << 30), FormatError);
 }
 
 TEST(Compress, InvalidLevelThrows) {

@@ -8,6 +8,7 @@
 // commit_group's staleness checks) hold.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <filesystem>
@@ -298,10 +299,9 @@ TEST_F(ParallelIngestTest, InflateRejectsOverlargeExpectedSize) {
   const std::vector<std::byte> plain(64, std::byte{0x5a});
   const std::vector<std::byte> packed = util::zlib_compress(plain, 6);
   util::Inflater inf;
-  std::vector<std::byte> out;
-  inf.decompress(packed, plain.size(), out);
-  EXPECT_EQ(out, plain);
-  EXPECT_THROW(inf.decompress(packed, std::size_t{5} << 30, out), util::FormatError);
+  const std::span<const std::byte> out = inf.decompress_view(packed, plain.size());
+  EXPECT_TRUE(std::equal(out.begin(), out.end(), plain.begin(), plain.end()));
+  EXPECT_THROW(inf.decompress_view(packed, std::size_t{5} << 30), util::FormatError);
 }
 
 // ---------------------------------------------------------------------------
