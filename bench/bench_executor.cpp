@@ -40,7 +40,11 @@ std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_alloc_bytes{0};
 }  // namespace
 
-void* operator new(std::size_t n) {
+// Both halves are kept out of line: inlined into a caller, a malloc() or
+// free() would sit next to the operator new/delete paired with it, and GCC
+// flags that pair as a new/free mismatch (-Wmismatched-new-delete) although
+// both halves are ours.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
   g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   void* p = std::malloc(n != 0 ? n : 1);
@@ -48,9 +52,6 @@ void* operator new(std::size_t n) {
   return p;
 }
 void* operator new[](std::size_t n) { return ::operator new(n); }
-// Kept out of line: inlined into a caller, the free() would sit next to the
-// operator new that produced the pointer, and GCC flags that pair as a
-// new/free mismatch (-Wmismatched-new-delete) although both halves are ours.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }

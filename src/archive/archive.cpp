@@ -105,19 +105,19 @@ Archive::PartitionWriter Archive::begin_partition_at(std::uint64_t id) {
   return PartitionWriter(*this, id);
 }
 
-void Archive::PartitionWriter::append_frame(const darshan::JobRecord& job,
+void Archive::PartitionWriter::append_frame(std::uint64_t job_id,
                                             std::span<const std::byte> frame) {
   MLIO_ASSERT(owner_ != nullptr);
   IndexEntry e;
   e.offset = segment_.size();
   e.size = frame.size();
-  e.job_id = job.job_id;
+  e.job_id = job_id;
   segment_.insert(segment_.end(), frame.begin(), frame.end());
   if (entries_.empty()) {
-    job_id_min_ = job_id_max_ = job.job_id;
+    job_id_min_ = job_id_max_ = job_id;
   } else {
-    job_id_min_ = std::min(job_id_min_, job.job_id);
-    job_id_max_ = std::max(job_id_max_, job.job_id);
+    job_id_min_ = std::min(job_id_min_, job_id);
+    job_id_max_ = std::max(job_id_max_, job_id);
   }
   entries_.push_back(e);
 }
@@ -148,6 +148,19 @@ Archive::PendingPartition Archive::PartitionWriter::finish() {
   out.info.segment_crc = util::crc32(segment_);
   out.index = write_index_bytes(id_, entries_);
   out.segment = std::move(segment_);
+  return out;
+}
+
+Archive::PendingPartition Archive::PartitionWriter::finish(
+    std::uint64_t commit_gen, const core::Analysis* shard, const core::SnapshotWriteOptions& opts) {
+  PendingPartition out = finish();
+  out.info.data_generation = commit_gen;
+  if (shard != nullptr) {
+    out.snapshot = core::write_snapshot_bytes(*shard, commit_gen, opts);
+    out.info.has_snapshot = true;
+    out.info.snapshot_generation = commit_gen;
+    out.info.snapshot_crc = util::crc32(out.snapshot);
+  }
   return out;
 }
 
@@ -278,59 +291,35 @@ std::size_t Archive::commit_snapshots(std::span<const SnapshotReceipt> receipts)
   return registered;
 }
 
-std::size_t Archive::compact(std::uint64_t max_logs) { return compact(max_logs, nullptr); }
-
-PartitionInfo Archive::build_merged_partition(std::size_t first, std::size_t count,
-                                              std::uint32_t target_level) {
+PartitionInfo Archive::build_merged_partition(const CompactionPlan& run) {
   const auto& parts = manifest_.partitions;
-  const std::uint64_t new_id = manifest_.next_partition_id++;
-  std::vector<std::byte> segment;
-  append_segment_header(segment, new_id);
-  std::vector<IndexEntry> entries;
-  PartitionInfo np;
-  np.id = new_id;
-  np.level = target_level;
-  for (std::size_t k = first; k < first + count; ++k) {
+  PartitionWriter w = begin_partition_at(manifest_.next_partition_id++);
+  std::uint64_t window_min = parts[run.first].window_min;
+  std::uint64_t window_max = parts[run.first].window_max;
+  for (std::size_t k = run.first; k < run.first + run.count; ++k) {
     const PartitionInfo& src = parts[k];
     const std::vector<std::byte> bytes = checked_segment(*vfs_, segment_path(src.id), src);
-    const std::vector<IndexEntry> src_entries =
-        read_index_bytes(vfs_->read_file(index_path(src.id)), src.id);
-    for (const IndexEntry& e : src_entries) {
+    for (const IndexEntry& e : read_index_bytes(vfs_->read_file(index_path(src.id)), src.id)) {
       // Subtraction form: `offset + size` can wrap u64 on hostile input.
       if (e.offset < kSegmentHeaderBytes || e.offset > bytes.size() ||
           e.size > bytes.size() - e.offset) {
         throw util::FormatError("compact: index entry out of segment bounds");
       }
-      IndexEntry ne = e;
-      ne.offset = segment.size();
-      segment.insert(segment.end(), bytes.begin() + static_cast<std::ptrdiff_t>(e.offset),
-                     bytes.begin() + static_cast<std::ptrdiff_t>(e.offset + e.size));
-      entries.push_back(ne);
-      if (np.log_count == 0) {
-        np.job_id_min = np.job_id_max = ne.job_id;
-      } else {
-        np.job_id_min = std::min(np.job_id_min, ne.job_id);
-        np.job_id_max = std::max(np.job_id_max, ne.job_id);
-      }
-      np.log_count += 1;
+      w.append_frame(e.job_id, std::span(bytes).subspan(static_cast<std::size_t>(e.offset),
+                                                        static_cast<std::size_t>(e.size)));
     }
     // Window union: window_min 0 ("unwindowed history") dominates the min,
     // so a merge that swallows a batch partition stays honest about reaching
     // past the oldest window.
-    if (k == first) {
-      np.window_min = src.window_min;
-      np.window_max = src.window_max;
-    } else {
-      np.window_min = std::min(np.window_min, src.window_min);
-      np.window_max = std::max(np.window_max, src.window_max);
-    }
+    window_min = std::min(window_min, src.window_min);
+    window_max = std::max(window_max, src.window_max);
   }
-  np.segment_bytes = segment.size();
-  np.segment_crc = util::crc32(segment);
-  np.data_generation = manifest_.generation + 1;  // stamped by write_manifest
-  vfs_->write_file_atomic(segment_path(new_id), segment);
-  vfs_->write_file_atomic(index_path(new_id), write_index_bytes(new_id, entries));
-  return np;
+  PendingPartition merged = w.finish(manifest_.generation + 1, nullptr);  // write_manifest stamps
+  merged.info.level = run.target_level;
+  merged.info.window_min = window_min;
+  merged.info.window_max = window_max;
+  stage_partition_files(merged);
+  return merged.info;
 }
 
 void Archive::gc_partitions(const std::vector<std::uint64_t>& removed_ids,
@@ -358,66 +347,41 @@ void Archive::gc_partitions(const std::vector<std::uint64_t>& removed_ids,
   }
 }
 
-std::size_t Archive::compact(std::uint64_t max_logs,
-                             std::vector<std::filesystem::path>* deferred_gc) {
-  // Greedy pass: maximal runs of >= 2 adjacent partitions, each smaller than
-  // max_logs, collapse into one partition at the run's position.  Raw frame
-  // copy — logs keep their exact bytes and ingest order.
+std::vector<PartitionInfo> Archive::compact(std::span<const CompactionPlan> runs,
+                                            std::vector<std::filesystem::path>* deferred_gc) {
+  const std::size_t n = manifest_.partitions.size();
+  std::size_t free_from = 0;  // runs are ascending and disjoint
+  for (const CompactionPlan& r : runs) {
+    if (r.count < 2 || r.first < free_from || r.first > n || r.count > n - r.first) {
+      throw util::ConfigError("compact: run [" + std::to_string(r.first) + ", +" +
+                              std::to_string(r.count) + ") is not a mergeable range of the " +
+                              std::to_string(n) + "-partition manifest at or after " +
+                              std::to_string(free_from));
+    }
+    free_from = r.first + r.count;
+  }
+
+  std::vector<PartitionInfo> merged;
+  merged.reserve(runs.size());
+  for (const CompactionPlan& r : runs) merged.push_back(build_merged_partition(r));
+  gc_errors_.clear();
+  if (runs.empty()) return merged;
+
+  // Splice: each run's sources give way to its merged partition in place.
+  const std::vector<PartitionInfo>& parts = manifest_.partitions;
   std::vector<PartitionInfo> out;
   std::vector<std::uint64_t> removed_ids;
   std::size_t i = 0;
-  const auto& parts = manifest_.partitions;
-  bool changed = false;
-  while (i < parts.size()) {
-    std::size_t j = i;
-    while (j < parts.size() && parts[j].log_count < max_logs) ++j;
-    if (j - i < 2) {
-      out.push_back(parts[i]);
-      ++i;
-      continue;
-    }
-    std::uint32_t level = 0;
-    for (std::size_t k = i; k < j; ++k) {
-      level = std::max(level, parts[k].level);
-      removed_ids.push_back(parts[k].id);
-    }
-    out.push_back(build_merged_partition(i, j - i, level + 1));
-    changed = true;
-    i = j;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    for (; i < runs[r].first; ++i) out.push_back(parts[i]);
+    for (; i < runs[r].first + runs[r].count; ++i) removed_ids.push_back(parts[i].id);
+    out.push_back(merged[r]);
   }
-  gc_errors_.clear();
-  if (!changed) return 0;
-
-  const std::size_t removed = manifest_.partitions.size() - out.size();
+  for (; i < n; ++i) out.push_back(parts[i]);
   manifest_.partitions = std::move(out);
   write_manifest();
   gc_partitions(removed_ids, deferred_gc);
-  return removed;
-}
-
-PartitionInfo Archive::compact_range(std::size_t first, std::size_t count,
-                                     std::uint32_t target_level,
-                                     std::vector<std::filesystem::path>* deferred_gc) {
-  if (count < 2 || first > manifest_.partitions.size() ||
-      count > manifest_.partitions.size() - first) {
-    throw util::ConfigError("compact_range: run [" + std::to_string(first) + ", +" +
-                            std::to_string(count) + ") is not a mergeable range of the " +
-                            std::to_string(manifest_.partitions.size()) + "-partition manifest");
-  }
-  std::vector<std::uint64_t> removed_ids;
-  removed_ids.reserve(count);
-  for (std::size_t k = first; k < first + count; ++k) {
-    removed_ids.push_back(manifest_.partitions[k].id);
-  }
-  const PartitionInfo np = build_merged_partition(first, count, target_level);
-  gc_errors_.clear();
-  const auto begin = manifest_.partitions.begin();
-  manifest_.partitions.erase(begin + static_cast<std::ptrdiff_t>(first + 1),
-                             begin + static_cast<std::ptrdiff_t>(first + count));
-  manifest_.partitions[first] = np;
-  write_manifest();
-  gc_partitions(removed_ids, deferred_gc);
-  return np;
+  return merged;
 }
 
 Archive::VerifyReport Archive::verify(bool deep) const {

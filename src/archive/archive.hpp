@@ -12,6 +12,10 @@
 // single `commit_group()` manifest write — one generation bump per ingest
 // batch instead of per partition (DESIGN.md §13).
 //
+// Compaction rides the same builder: `compact(runs)` feeds each planned
+// run's frames through a PartitionWriter and publishes every run in ONE
+// manifest write before any source is deleted (DESIGN.md §6).
+//
 // Read path: `scan_partition` replays a partition's logs in ingest order
 // (verifying the segment CRC first); `load_snapshot` returns the cached
 // analysis shard when it is present, uncorrupted, and stamped with the
@@ -27,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "archive/compaction.hpp"
 #include "archive/manifest.hpp"
 #include "archive/scan.hpp"
 #include "core/snapshot.hpp"
@@ -80,8 +85,12 @@ class Archive {
   class PartitionWriter {
    public:
     /// Append one already-framed Darshan log (bytes as produced by
-    /// darshan::write_log_bytes*).
-    void append_frame(const darshan::JobRecord& job, std::span<const std::byte> frame);
+    /// darshan::write_log_bytes*).  The index keeps only the job id, so the
+    /// id form serves callers that copy frames out of another segment.
+    void append_frame(std::uint64_t job_id, std::span<const std::byte> frame);
+    void append_frame(const darshan::JobRecord& job, std::span<const std::byte> frame) {
+      append_frame(job.job_id, frame);
+    }
     /// Serialize-and-append convenience for pre-parsed logs.
     void append(const darshan::LogData& log, const darshan::WriteOptions& opts = {});
     std::uint64_t log_count() const { return entries_.size(); }
@@ -99,6 +108,12 @@ class Archive {
     /// with the group's target generation themselves).  The writer is spent.
     /// Pure compute — safe to run concurrently with other writers.
     PendingPartition finish();
+    /// finish() for a commit at generation `commit_gen` (the manifest's
+    /// generation + 1): stamps data_generation and, when `shard` is given,
+    /// attaches its snapshot stamped for the same generation, so the shard
+    /// rides the partition's commit_group.
+    PendingPartition finish(std::uint64_t commit_gen, const core::Analysis* shard,
+                            const core::SnapshotWriteOptions& opts = {});
 
    private:
     friend class Archive;
@@ -194,36 +209,22 @@ class Archive {
   /// registered; writes nothing when every receipt is stale.
   std::size_t commit_snapshots(std::span<const SnapshotReceipt> receipts);
 
-  /// Merge runs of adjacent partitions whose log counts are all below
-  /// `max_logs` into single partitions (raw frame copy, ingest order
-  /// preserved).  Snapshots of merged partitions are dropped — the merge
-  /// tree changed, so shards must be recomputed.  Returns the number of
-  /// partitions removed.  Source files are deleted only after the merged
-  /// segments and the new manifest are durably committed; a deletion
-  /// failure is deliberately non-fatal (the files are unreferenced garbage
-  /// by then) — it is logged to stderr and recorded in `gc_errors()`.
-  std::size_t compact(std::uint64_t max_logs);
-
-  /// MVCC-host variant: instead of deleting the replaced partitions' files,
-  /// append their paths to `deferred_gc` — the caller removes them once no
-  /// pinned reader can still reference the old generation (the archive
-  /// service's pin registry drives this).  With `deferred_gc == nullptr`
-  /// this is exactly compact(max_logs).
-  std::size_t compact(std::uint64_t max_logs,
-                      std::vector<std::filesystem::path>* deferred_gc);
-
-  /// Merge the contiguous run of partitions [first, first + count) into ONE
-  /// new partition placed at the run's position, stamped `target_level`
-  /// (archive/stream.hpp's leveled policy plans these).  Same mechanics as
-  /// compact(): raw frame copy in ingest order, snapshots of the sources
-  /// dropped, window ranges unioned, sources deleted (or deferred) only
-  /// after the new manifest is durable.  Throws ConfigError on an
-  /// out-of-range run or count < 2.  Returns the merged partition's info.
-  PartitionInfo compact_range(std::size_t first, std::size_t count, std::uint32_t target_level,
-                              std::vector<std::filesystem::path>* deferred_gc = nullptr);
+  /// The one compaction executor: each run of a planner's list
+  /// (compaction.hpp) becomes ONE new partition at the run's position,
+  /// stamped target_level — raw frame copy in ingest order, window ranges
+  /// unioned, source snapshots dropped.  Throws ConfigError before any file
+  /// op unless every run holds >= 2 partitions in range and the runs ascend
+  /// without overlapping.  All merges publish in ONE manifest write; only
+  /// then are the sources' files deleted, or appended to `deferred_gc` for
+  /// an MVCC host to delete once no pin can reach them.  A failed deletion
+  /// is logged and kept in gc_errors(), never thrown (the files are
+  /// unreferenced by then).  Returns the merged infos in run order; an
+  /// empty list writes nothing.
+  std::vector<PartitionInfo> compact(std::span<const CompactionPlan> runs,
+                                     std::vector<std::filesystem::path>* deferred_gc = nullptr);
 
   /// Failed garbage-collection removals of the most recent compact() —
-  /// empty when every unreferenced file was deleted.
+  /// empty when every unreferenced file was deleted (or nothing merged).
   const std::vector<std::string>& gc_errors() const { return gc_errors_; }
 
   struct VerifyReport {
@@ -246,13 +247,11 @@ class Archive {
   /// Bump the generation and atomically persist the manifest.
   void write_manifest();
 
-  /// Build and stage (segment + index files, no manifest write) one merged
-  /// partition out of manifest_.partitions[first, first + count), under a
-  /// freshly allocated id.  Shared by compact() and compact_range(); the
-  /// returned info is stamped data_generation = generation + 1 for the
-  /// caller's write_manifest to make real.
-  PartitionInfo build_merged_partition(std::size_t first, std::size_t count,
-                                       std::uint32_t target_level);
+  /// Build and stage (segment + index files, no manifest write) one run's
+  /// merged partition under a freshly allocated id; the returned info is
+  /// stamped data_generation = generation + 1 for compact's write_manifest
+  /// to make real.
+  PartitionInfo build_merged_partition(const CompactionPlan& run);
 
   /// Delete (or defer) the three files of every removed partition id.
   void gc_partitions(const std::vector<std::uint64_t>& removed_ids,

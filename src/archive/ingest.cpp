@@ -10,7 +10,6 @@
 #include <optional>
 #include <thread>
 
-#include "util/compress.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mlio::archive {
@@ -95,18 +94,10 @@ Built build_cut(Archive& archive, const wl::WorkloadGenerator& gen, const Cut& c
   out.serialize_ns = phases.serialize_ns;
   out.compress_ns = phases.compress_ns;
 
-  out.pending = writer.finish();
-  out.pending.info.data_generation = commit_gen;
-  if (opts.write_snapshots) {
-    const auto t0 = SteadyClock::now();
-    std::vector<std::byte> bytes =
-        core::write_snapshot_bytes(shard, commit_gen, opts.snapshot_options);
-    out.pending.info.has_snapshot = true;
-    out.pending.info.snapshot_generation = commit_gen;
-    out.pending.info.snapshot_crc = util::crc32(bytes);
-    out.pending.snapshot = std::move(bytes);
-    out.snapshot_ns += ns_since(t0);
-  }
+  const auto t0 = SteadyClock::now();
+  out.pending = writer.finish(commit_gen, opts.write_snapshots ? &shard : nullptr,
+                              opts.snapshot_options);
+  if (opts.write_snapshots) out.snapshot_ns += ns_since(t0);  // encode + segment CRC
   return out;
 }
 
@@ -310,18 +301,10 @@ IngestStats ingest_log_files(Archive& archive, const std::vector<std::filesystem
             out.snapshot_ns += ns_since(ts);
           }
         }
-        out.pending = writer.finish();
-        out.pending.info.data_generation = commit_gen;
-        if (opts.write_snapshots) {
-          const auto ts = SteadyClock::now();
-          std::vector<std::byte> bytes =
-              core::write_snapshot_bytes(shard, commit_gen, opts.snapshot_options);
-          out.pending.info.has_snapshot = true;
-          out.pending.info.snapshot_generation = commit_gen;
-          out.pending.info.snapshot_crc = util::crc32(bytes);
-          out.pending.snapshot = std::move(bytes);
-          out.snapshot_ns += ns_since(ts);
-        }
+        const auto ts = SteadyClock::now();
+        out.pending = writer.finish(commit_gen, opts.write_snapshots ? &shard : nullptr,
+                                    opts.snapshot_options);
+        if (opts.write_snapshots) out.snapshot_ns += ns_since(ts);  // encode + segment CRC
         return out;
       },
       stats);

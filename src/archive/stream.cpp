@@ -1,10 +1,8 @@
 #include "archive/stream.hpp"
 
-#include <algorithm>
 #include <limits>
 
 #include "darshan/log_format.hpp"
-#include "util/compress.hpp"
 #include "util/error.hpp"
 
 namespace mlio::archive {
@@ -71,28 +69,22 @@ PartitionInfo StreamIngester::publish_open() {
   // one-element group commit — whole window or nothing.
   Archive::PartitionWriter w = archive_->begin_partition();
   for (const Buffered& b : open_) w.append_frame(b.job, b.frame);
-  const std::uint64_t gen = archive_->manifest().generation + 1;
-  Archive::PendingPartition pending = w.finish();
-  pending.info.data_generation = gen;
-  pending.info.window_min = open_wmin_;
-  pending.info.window_max = open_wmax_;
-  pending.info.level = 0;
+  std::optional<core::Analysis> shard;
   if (opts_.write_snapshots) {
     // Accumulate the shard from the buffered frames in arrival order —
     // byte-for-byte what a rescan of the published partition computes.
-    core::Analysis shard;
+    shard.emplace();
     darshan::LogData log;
     darshan::LogIoBuffers io;
     for (const Buffered& b : open_) {
       darshan::read_log_bytes_into(b.frame, io, log);
-      shard.add(log);
+      shard->add(log);
     }
-    std::vector<std::byte> bytes = core::write_snapshot_bytes(shard, gen, opts_.snapshot_options);
-    pending.info.has_snapshot = true;
-    pending.info.snapshot_generation = gen;
-    pending.info.snapshot_crc = util::crc32(bytes);
-    pending.snapshot = std::move(bytes);
   }
+  Archive::PendingPartition pending = w.finish(archive_->manifest().generation + 1,
+                                               shard ? &*shard : nullptr, opts_.snapshot_options);
+  pending.info.window_min = open_wmin_;
+  pending.info.window_max = open_wmax_;
   archive_->stage_partition_files(pending);
   const PartitionInfo info = archive_->commit_group({&pending, 1}).front();
   stats_.windows_published += 1;
@@ -100,41 +92,6 @@ PartitionInfo StreamIngester::publish_open() {
   open_bytes_ = 0;
   open_wmin_ = open_wmax_ = 0;
   return info;
-}
-
-std::optional<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolicy& policy) {
-  if (policy.fanout < 2) {
-    throw util::ConfigError("leveled policy: fanout must be >= 2");
-  }
-  const std::vector<PartitionInfo>& parts = m.partitions;
-  std::optional<CompactionPlan> best;
-  std::uint32_t best_level = 0;
-  std::size_t i = 0;
-  while (i < parts.size()) {
-    std::size_t j = i;
-    while (j < parts.size() && parts[j].level == parts[i].level) ++j;
-    if (j - i >= policy.fanout && (!best || parts[i].level < best_level)) {
-      CompactionPlan plan;
-      plan.first = i;
-      plan.count = policy.fanout;
-      // Clamp instead of wrapping on a hostile level — the plan stays
-      // executable and the merged partition simply stops climbing.
-      plan.target_level = parts[i].level == std::numeric_limits<std::uint32_t>::max()
-                              ? parts[i].level
-                              : parts[i].level + 1;
-      best = plan;
-      best_level = parts[i].level;
-    }
-    i = j;
-  }
-  return best;
-}
-
-std::optional<PartitionInfo> compact_leveled(Archive& archive, const LeveledPolicy& policy,
-                                             std::vector<std::filesystem::path>* deferred_gc) {
-  const std::optional<CompactionPlan> plan = plan_leveled(archive.manifest(), policy);
-  if (!plan.has_value()) return std::nullopt;
-  return archive.compact_range(plan->first, plan->count, plan->target_level, deferred_gc);
 }
 
 }  // namespace mlio::archive

@@ -1,24 +1,16 @@
 // Continuous mode for the partitioned archive (DESIGN.md §14).
 //
-// Two pieces turn the batch archive into a live system:
-//
-//   * StreamIngester — logs arrive one at a time (framed bytes, the same
-//     wire format batch ingest uses) and buffer into an OPEN time window.
-//     When an arriving log's window id advances past the open window — or a
-//     size cap trips first — the open window is CUT: built into one
-//     partition (level 0, window range stamped into its manifest entry) and
-//     published through the group-commit path, one generation bump per
-//     window.  Until the cut, buffered logs are invisible to readers; after
-//     it, they are durable — the crash story is exactly the batch one
-//     (whole windows or nothing).
-//
-//   * LeveledPolicy / plan_leveled — an LSM-style compaction planner.  Every
-//     partition carries a level (0 = fresh); when `fanout` ADJACENT
-//     partitions sit at the same level, the plan merges the oldest `fanout`
-//     of them into one partition at level + 1 (lowest level first, leftmost
-//     run first).  Streaming appends windows at level 0, so the live
-//     partition count stays bounded by ~fanout partitions per level —
-//     O(fanout · log_fanout(windows)) instead of one partition per window.
+// StreamIngester turns the batch archive into a live system: logs arrive
+// one at a time (framed bytes, the same wire format batch ingest uses) and
+// buffer into an OPEN time window.  When an arriving log's window id
+// advances past the open window — or a size cap trips first — the open
+// window is CUT: built into one partition (level 0, window range stamped
+// into its manifest entry) and published through the group-commit path,
+// one generation bump per window.  Until the cut, buffered logs are
+// invisible to readers; after it, they are durable — the crash story is
+// exactly the batch one (whole windows or nothing).  The leveled compaction
+// rule that keeps the live partition count bounded is one of the two
+// planners of archive/compaction.hpp.
 //
 // Window ids are 1-based: `window_id_for(t, w) = floor(t / w) + 1`, clamped
 // to 1 (pre-epoch times collapse into the first window).  Id 0 is reserved
@@ -114,34 +106,5 @@ class StreamIngester {
   std::uint64_t open_wmin_ = 0;  ///< 0 while empty
   std::uint64_t open_wmax_ = 0;
 };
-
-/// LSM-style leveled compaction policy: merge when `fanout` adjacent
-/// partitions share a level.
-struct LeveledPolicy {
-  std::uint32_t fanout = 4;  ///< run length that triggers a merge (>= 2)
-};
-
-/// One planned merge: manifest_.partitions[first, first + count) collapse
-/// into a single partition at target_level.
-struct CompactionPlan {
-  std::size_t first = 0;
-  std::size_t count = 0;
-  std::uint32_t target_level = 0;
-};
-
-/// Choose the next leveled merge: the leftmost run of >= fanout adjacent
-/// same-level partitions, lowest level first; the plan takes the OLDEST
-/// `fanout` of the run (time order is preserved — partitions only ever
-/// merge with their neighbors).  nullopt when no level holds a full run.
-/// Throws ConfigError on fanout < 2.  Pure function of the manifest.
-std::optional<CompactionPlan> plan_leveled(const Manifest& m, const LeveledPolicy& policy);
-
-/// One leveled compaction step: plan against the archive's current manifest
-/// and execute the merge via compact_range.  Returns the merged partition's
-/// info, or nullopt when nothing is mergeable.  The background compactor
-/// (service/service.hpp) loops this; `deferred_gc` has compact() semantics.
-std::optional<PartitionInfo> compact_leveled(
-    Archive& archive, const LeveledPolicy& policy,
-    std::vector<std::filesystem::path>* deferred_gc = nullptr);
 
 }  // namespace mlio::archive

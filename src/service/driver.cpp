@@ -130,7 +130,7 @@ WorkloadReport run_closed_loop(ArchiveService& service, const WorkloadConfig& cf
           me.ingests += 1;
         } else {
           const auto t0 = SteadyClock::now();
-          (void)service.compact(cfg.compact_max_logs, &me.stats);
+          (void)service.compact(archive::SizePolicy{cfg.compact_max_logs}, &me.stats);
           me.compact_latency.record(ns_since(t0));
           me.compacts += 1;
         }

@@ -39,7 +39,7 @@ struct WorkloadConfig {
   unsigned weight_compact = 2;
 
   std::uint64_t logs_per_ingest = 4;    ///< frames appended per ingest request
-  std::uint64_t compact_max_logs = 48;  ///< Archive::compact threshold
+  std::uint64_t compact_max_logs = 48;  ///< size-rule compaction threshold
   bool verify = true;                   ///< serial-replay every observed generation
 };
 

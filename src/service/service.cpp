@@ -244,21 +244,42 @@ ArchiveService::IngestResult ArchiveService::ingest(std::span<const ServiceFrame
   return r;
 }
 
-std::size_t ArchiveService::compact(std::uint64_t max_logs, ServiceStats* stats) {
-  std::size_t removed = 0;
+std::vector<archive::PartitionInfo> ArchiveService::compact_planned(const Planner& plan,
+                                                                    ServiceStats* stats) {
+  std::vector<archive::PartitionInfo> merged;
   {
     std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
     if (stats != nullptr) stats->requests += 1;
     std::vector<std::filesystem::path> doomed;
-    removed = archive_.compact(max_logs, &doomed);
-    if (removed > 0) publish_locked();
+    merged = archive_.compact(plan(archive_.manifest()), &doomed);
+    if (!merged.empty()) publish_locked();
     if (!doomed.empty()) {
       const std::scoped_lock gc_lock(gc_mu_);
       deferred_.push_back(DeferredGc{archive_.manifest().generation, std::move(doomed)});
     }
   }
   sweep_gc();
+  return merged;
+}
+
+std::size_t ArchiveService::compact(const archive::SizePolicy& policy, ServiceStats* stats) {
+  std::size_t removed = 0;
+  compact_planned(
+      [&](const archive::Manifest& m) {
+        std::vector<archive::CompactionPlan> runs = archive::plan_by_size(m, policy);
+        for (const archive::CompactionPlan& r : runs) removed += r.count - 1;
+        return runs;
+      },
+      stats);
   return removed;
+}
+
+std::optional<archive::PartitionInfo> ArchiveService::compact_step(
+    const archive::LeveledPolicy& policy, ServiceStats* stats) {
+  const std::vector<archive::PartitionInfo> merged = compact_planned(
+      [&](const archive::Manifest& m) { return archive::plan_leveled(m, policy); }, stats);
+  if (merged.empty()) return std::nullopt;
+  return merged.front();
 }
 
 // ---- Continuous mode (DESIGN.md §14) --------------------------------------
@@ -295,24 +316,6 @@ ArchiveService::StreamResult ArchiveService::stream_flush(ServiceStats* stats) {
 archive::StreamStats ArchiveService::stream_stats() {
   const std::scoped_lock lock(writer_mu_);
   return ingester_.stats();
-}
-
-std::optional<archive::PartitionInfo> ArchiveService::compact_step(
-    const archive::LeveledPolicy& policy, ServiceStats* stats) {
-  std::optional<archive::PartitionInfo> merged;
-  {
-    std::unique_lock<std::mutex> lock = timed_lock(writer_mu_, stats);
-    if (stats != nullptr) stats->requests += 1;
-    std::vector<std::filesystem::path> doomed;
-    merged = archive::compact_leveled(archive_, policy, &doomed);
-    if (merged) publish_locked();
-    if (!doomed.empty()) {
-      const std::scoped_lock gc_lock(gc_mu_);
-      deferred_.push_back(DeferredGc{archive_.manifest().generation, std::move(doomed)});
-    }
-  }
-  sweep_gc();
-  return merged;
 }
 
 void ArchiveService::start_compactor(const CompactorOptions& opts) {

@@ -33,6 +33,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -188,9 +189,10 @@ class ArchiveService {
   /// Append one partition (writer path; serialized internally).
   IngestResult ingest(std::span<const ServiceFrame> frames, ServiceStats* stats = nullptr);
 
-  /// Compact with deferred GC (writer path; serialized internally).
-  /// Returns the number of partitions removed.
-  std::size_t compact(std::uint64_t max_logs, ServiceStats* stats = nullptr);
+  /// Size-rule compaction (archive::plan_by_size) with deferred GC (writer
+  /// path; serialized internally).  Returns the number of partitions
+  /// removed.
+  std::size_t compact(const archive::SizePolicy& policy, ServiceStats* stats = nullptr);
 
   // ---- Continuous mode (DESIGN.md §14) -----------------------------------
 
@@ -225,8 +227,8 @@ class ArchiveService {
   static constexpr std::chrono::milliseconds kCompactorMaxBackoff{1000};
 
   /// Start the background leveled compactor — one long-running task on a
-  /// dedicated util::ThreadPool worker, looping plan_leveled/compact_range
-  /// against the live manifest under the writer lock, racing stream_append
+  /// dedicated util::ThreadPool worker, looping compact_step against the
+  /// live manifest under the writer lock, racing stream_append
   /// and pinned readers safely via the MVCC deferred-GC machinery.  Throws
   /// ConfigError if already running.
   void start_compactor(const CompactorOptions& opts);
@@ -287,6 +289,13 @@ class ArchiveService {
   /// otherwise.
   std::vector<std::shared_ptr<const core::Analysis>> resolve_all(
       std::span<const archive::PartitionInfo> parts, ServiceStats& stats);
+
+  /// The one merge body of compact and compact_step: under the writer
+  /// lock, plan against the live manifest, execute through
+  /// Archive::compact, publish, and hand the sources' files to deferred GC.
+  /// Returns the merged partitions.
+  using Planner = std::function<std::vector<archive::CompactionPlan>(const archive::Manifest&)>;
+  std::vector<archive::PartitionInfo> compact_planned(const Planner& plan, ServiceStats* stats);
 
   /// Body of the background compactor task (runs on compactor_pool_).
   void compactor_loop(CompactorOptions opts);

@@ -281,9 +281,22 @@ Manifest windowed_manifest() {
   return m;
 }
 
+/// Every run of a compaction plan names a real adjacent run of >= 2
+/// partitions, and the runs ascend without overlapping.
+void expect_runs_in_bounds(const Manifest& m, const std::vector<CompactionPlan>& runs) {
+  std::size_t free_from = 0;
+  for (const CompactionPlan& plan : runs) {
+    ASSERT_GE(plan.first, free_from);
+    ASSERT_LE(plan.first, m.partitions.size());
+    ASSERT_GE(plan.count, 2u);
+    ASSERT_LE(plan.count, m.partitions.size() - plan.first);
+    free_from = plan.first + plan.count;
+  }
+}
+
 /// Whatever a hostile manifest parses to must keep the consumers in bounds:
-/// every selection for every N indexes real partitions, and any compaction
-/// plan names a real adjacent run.
+/// every selection for every N indexes real partitions, and either
+/// compaction planner's runs name real adjacent runs.
 void expect_consumers_in_bounds(const Manifest& m) {
   for (std::uint64_t n : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{3},
                           std::numeric_limits<std::uint64_t>::max()}) {
@@ -292,11 +305,10 @@ void expect_consumers_in_bounds(const Manifest& m) {
     ASSERT_LE(sel.count, m.partitions.size() - sel.first);
   }
   for (const unsigned fanout : {2u, 4u}) {
-    if (const auto plan = plan_leveled(m, LeveledPolicy{fanout})) {
-      ASSERT_LE(plan->first, m.partitions.size());
-      ASSERT_GE(plan->count, 2u);
-      ASSERT_LE(plan->count, m.partitions.size() - plan->first);
-    }
+    expect_runs_in_bounds(m, plan_leveled(m, LeveledPolicy{fanout}));
+  }
+  for (const std::uint64_t max_logs : {std::uint64_t{3}, std::numeric_limits<std::uint64_t>::max()}) {
+    expect_runs_in_bounds(m, plan_by_size(m, SizePolicy{max_logs}));
   }
 }
 
@@ -364,9 +376,15 @@ TEST(WindowManifestFuzz, HostileWindowIdsAndLevelsStayInBounds) {
   const Manifest back = read_manifest_bytes(write_manifest_bytes(m));
   EXPECT_EQ(back.partitions[3].window_max, std::numeric_limits<std::uint64_t>::max());
   expect_consumers_in_bounds(back);
-  if (const auto plan = plan_leveled(back, LeveledPolicy{2})) {
-    EXPECT_EQ(plan->target_level, std::numeric_limits<std::uint32_t>::max());  // clamped
+  for (const CompactionPlan& plan : plan_leveled(back, LeveledPolicy{2})) {
+    EXPECT_EQ(plan.target_level, std::numeric_limits<std::uint32_t>::max());  // clamped
   }
+  // The size rule clamps the same way: the whole run (levels max, max, max,
+  // 0) plans to UINT32_MAX instead of wrapping to level 0.
+  const std::vector<CompactionPlan> sized = plan_by_size(back, SizePolicy{1000});
+  ASSERT_EQ(sized.size(), 1u);
+  EXPECT_EQ(sized[0].count, 4u);
+  EXPECT_EQ(sized[0].target_level, std::numeric_limits<std::uint32_t>::max());
 }
 
 // Stale generation stamps on a WINDOWED partition: the manifest says the

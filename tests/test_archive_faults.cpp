@@ -65,6 +65,14 @@ std::vector<std::byte> state(Archive& ar, unsigned threads = 1) {
   return core::write_snapshot_bytes(query_archive(ar, opts).analysis, 0);
 }
 
+/// Size-rule compaction through the one executor; returns the number of
+/// partitions removed.
+std::size_t compact_by_size(Archive& ar, std::uint64_t max_logs) {
+  const std::size_t before = ar.manifest().partitions.size();
+  ar.compact(plan_by_size(ar.manifest(), SizePolicy{max_logs}));
+  return before - ar.manifest().partitions.size();
+}
+
 class ArchiveFaultsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -103,7 +111,7 @@ TEST_F(ArchiveFaultsTest, CrashSweepIngestSnapshotCompact) {
       const PartitionInfo info = w.seal();
       if (shards[p] != nullptr) ar.store_snapshot(info.id, *shards[p]);
     }
-    ar.compact(1'000'000);
+    compact_by_size(ar, 1'000'000);
   };
 
   harness::CrashSweepOptions opts;
@@ -216,7 +224,7 @@ TEST_F(ArchiveFaultsTest, CompactSourcesOutliveCrashUntilCommit) {
   std::uint64_t compact_ops = 0;
   const auto run_compact = [&](const fs::path& work, util::Vfs& vfs) {
     Archive ar = Archive::open(work, vfs);
-    ar.compact(1'000'000);
+    compact_by_size(ar, 1'000'000);
   };
   {
     const fs::path work = dir_ / "count";
@@ -275,6 +283,98 @@ TEST_F(ArchiveFaultsTest, CompactSourcesOutliveCrashUntilCommit) {
     }
     fs::remove_all(work);
   }
+}
+
+// ---------------------------------------------------------------------------
+// A size compaction of TWO runs — two mergeable pairs separated by a
+// partition at the threshold — publishes both merges in one manifest write.
+// Crash at every file op of it: the reopened archive is either fully
+// unmerged (all five sources) or fully merged (both runs), never one run
+// merged without the other.
+TEST_F(ArchiveFaultsTest, CrashSweepTwoRunSizeCompaction) {
+  const std::vector<Frame> frames = capture_frames(9, 23);
+  ASSERT_GE(frames.size(), 7u);
+  // Log counts 1, 1, 3, 1, 1 against max_logs 2: runs [0, 2) and [3, 5).
+  const std::size_t cuts[6] = {0, 1, 2, 5, 6, 7};
+  constexpr std::uint64_t kMaxLogs = 2;
+
+  const fs::path golden = dir_ / "golden";
+  {
+    Archive ar = Archive::create(golden);
+    for (std::size_t p = 0; p < 5; ++p) {
+      Archive::PartitionWriter w = ar.begin_partition();
+      for (std::size_t i = cuts[p]; i < cuts[p + 1]; ++i) {
+        w.append_frame(frames[i].job, frames[i].bytes);
+      }
+      w.seal();
+    }
+    const std::vector<CompactionPlan> runs = plan_by_size(ar.manifest(), SizePolicy{kMaxLogs});
+    ASSERT_EQ(runs.size(), 2u);
+    EXPECT_EQ(runs[0].first, 0u);
+    EXPECT_EQ(runs[1].first, 3u);
+  }
+  const auto ids = [](const Archive& ar) {
+    std::vector<std::uint64_t> out;
+    for (const PartitionInfo& p : ar.manifest().partitions) out.push_back(p.id);
+    return out;
+  };
+  const std::vector<std::uint64_t> unmerged = {1, 2, 3, 4, 5};
+  const std::vector<std::uint64_t> merged = {6, 3, 7};  // fresh ids in run order
+
+  std::vector<std::byte> before_state;
+  std::vector<std::byte> after_state;
+  {
+    Archive ar = Archive::open(golden);
+    before_state = state(ar);
+  }
+  const auto run_compact = [&](const fs::path& work, util::Vfs& vfs) {
+    Archive ar = Archive::open(work, vfs);
+    ar.compact(plan_by_size(ar.manifest(), SizePolicy{kMaxLogs}));
+  };
+  std::int64_t manifest_writes = 0;
+  std::uint64_t compact_ops = 0;
+  {
+    const fs::path work = dir_ / "count";
+    fs::copy(golden, work);
+    util::FaultVfs vfs;
+    vfs.after_op = [&](std::uint64_t, util::VfsOp op, const fs::path& path) {
+      if (op == util::VfsOp::kRename && path.filename() == "manifest.bin") manifest_writes += 1;
+    };
+    run_compact(work, vfs);
+    compact_ops = vfs.op_count();
+    Archive ar = Archive::open(work);
+    EXPECT_EQ(ids(ar), merged);
+    after_state = state(ar);
+  }
+  EXPECT_EQ(manifest_writes, 1);  // both runs ride one manifest publish
+
+  std::uint64_t saw_unmerged = 0;
+  std::uint64_t saw_merged = 0;
+  for (std::uint64_t at = 0; at < compact_ops; ++at) {
+    SCOPED_TRACE("crash-at=" + std::to_string(at));
+    const fs::path work = dir_ / ("crash" + std::to_string(at));
+    fs::copy(golden, work);
+    util::FaultPlan plan;
+    plan.seed = 5;
+    plan.crash_at = static_cast<std::int64_t>(at);
+    util::FaultVfs vfs(plan);
+    EXPECT_THROW(run_compact(work, vfs), util::SimulatedCrash);
+
+    Archive ar = Archive::open(work);
+    EXPECT_TRUE(ar.verify(true).ok());
+    const std::vector<std::uint64_t> got = ids(ar);
+    if (got == unmerged) {
+      saw_unmerged += 1;
+      EXPECT_EQ(state(ar), before_state);
+    } else {
+      EXPECT_EQ(got, merged) << "a crash left the compaction half applied";
+      saw_merged += 1;
+      EXPECT_EQ(state(ar), after_state);
+    }
+    fs::remove_all(work);
+  }
+  EXPECT_GT(saw_unmerged, 0u);
+  EXPECT_GT(saw_merged, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -367,7 +467,7 @@ TEST_F(ArchiveFaultsTest, CompactGcErrorBranches) {
     util::FaultVfs vfs(util::FaultPlan::parse("fail-remove@0:*.seg"));
     build(d, vfs);
     Archive ar = Archive::open(d, vfs);
-    EXPECT_EQ(ar.compact(1'000'000), 2u);
+    EXPECT_EQ(compact_by_size(ar, 1'000'000), 2u);
     EXPECT_EQ(ar.gc_errors().size(), 3u);
     for (const std::string& e : ar.gc_errors()) {
       EXPECT_NE(e.find(".seg"), std::string::npos) << e;
@@ -377,7 +477,7 @@ TEST_F(ArchiveFaultsTest, CompactGcErrorBranches) {
     EXPECT_FALSE(fs::exists(d / "p000001.idx"));  // only .seg removals failed
 
     // gc_errors is per-compact: a no-op compact clears it.
-    EXPECT_EQ(ar.compact(1'000'000), 0u);
+    EXPECT_EQ(compact_by_size(ar, 1'000'000), 0u);
     EXPECT_TRUE(ar.gc_errors().empty());
   }
 
@@ -386,7 +486,7 @@ TEST_F(ArchiveFaultsTest, CompactGcErrorBranches) {
     const fs::path d = dir_ / "gcok";
     build(d, util::real_vfs());
     Archive ar = Archive::open(d);
-    EXPECT_EQ(ar.compact(1'000'000), 2u);
+    EXPECT_EQ(compact_by_size(ar, 1'000'000), 2u);
     EXPECT_TRUE(ar.gc_errors().empty());
     EXPECT_FALSE(fs::exists(d / "p000001.seg"));
     EXPECT_FALSE(fs::exists(d / "p000002.seg"));

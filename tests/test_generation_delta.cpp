@@ -89,7 +89,7 @@ TEST(GenerationDelta, RandomizedSequenceIsBitIdenticalToSerialReplayEveryGenerat
       svc.ingest(std::span<const service::ServiceFrame>(
           frame_pool().data() + lo, static_cast<std::size_t>(n)));
     } else {
-      compacted = svc.compact(~0ull) > 0;
+      compacted = svc.compact(archive::SizePolicy{~0ull}) > 0;
       compactions += compacted ? 1 : 0;
     }
 
@@ -161,7 +161,7 @@ TEST(GenerationDelta, WindowedGetsAreMemoizedAndMatchSerialReplayEveryGeneration
     } else if (draw < 90) {
       compactions += svc.compact_step(archive::LeveledPolicy{2}).has_value() ? 1u : 0u;
     } else {
-      compactions += svc.compact(8 + rng.uniform_u64(0, 16)) > 0 ? 1u : 0u;
+      compactions += svc.compact(archive::SizePolicy{8 + rng.uniform_u64(0, 16)}) > 0 ? 1u : 0u;
     }
     if (svc.generation() == last_generation) continue;
     last_generation = svc.generation();

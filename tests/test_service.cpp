@@ -284,7 +284,7 @@ TEST(ArchiveService, IngestAndCompactAdvanceGenerationsVisibleToNewGets) {
   // per-generation contract (answer == serial replay of the SAME pinned
   // generation) must keep holding.
   const auto pre = svc.get(/*keep_analysis=*/true);
-  const std::size_t removed = svc.compact(~0ull);
+  const std::size_t removed = svc.compact(archive::SizePolicy{~0ull});
   EXPECT_GT(removed, 0u);
   const auto compacted = svc.get(/*keep_analysis=*/true);
   EXPECT_EQ(compacted.stats.query.partitions, 1u);
@@ -341,7 +341,7 @@ TEST(ArchiveService, MvccReadersAreBitIdenticalToSerialReplayUnderLoad) {
     for (int i = 0; i < 8; ++i) {
       const std::size_t lo = static_cast<std::size_t>(i) % (shared_pool().size() - 2);
       svc.ingest(std::span<const service::ServiceFrame>(shared_pool().data() + lo, 2));
-      if (i % 3 == 2) svc.compact(~0ull);
+      if (i % 3 == 2) svc.compact(archive::SizePolicy{~0ull});
     }
     writer_done.store(true, std::memory_order_release);
   });
@@ -451,7 +451,10 @@ TEST(StaleRead, QueryArchiveThrowsStaleReadErrorAfterExternalCompaction) {
   // defer).
   archive::Archive reader = archive::Archive::open(dir);
   archive::Archive compactor = archive::Archive::open(dir);
-  ASSERT_GT(compactor.compact(~0ull), 0u);
+  ASSERT_GT(
+      compactor.compact(archive::plan_by_size(compactor.manifest(), archive::SizePolicy{~0ull}))
+          .size(),
+      0u);
   ASSERT_TRUE(compactor.gc_errors().empty());
 
   try {
@@ -479,7 +482,10 @@ TEST(StaleRead, ServiceRecoversByRefreshingFromDisk) {
   const auto before = svc.get(/*keep_analysis=*/true);
 
   archive::Archive compactor = archive::Archive::open(dir);
-  ASSERT_GT(compactor.compact(~0ull), 0u);
+  ASSERT_GT(
+      compactor.compact(archive::plan_by_size(compactor.manifest(), archive::SizePolicy{~0ull}))
+          .size(),
+      0u);
 
   const auto after = svc.get(/*keep_analysis=*/true);
   EXPECT_GT(after.generation, before.generation);
@@ -502,7 +508,7 @@ TEST(StaleRead, ServiceOwnCompactionNeverStalesItsPinnedReaders) {
   service::ArchiveService::Pin pin = svc.pin();
   const std::uint64_t expected = svc.get_pinned(pin).fingerprint;
 
-  ASSERT_GT(svc.compact(~0ull), 0u);
+  ASSERT_GT(svc.compact(archive::SizePolicy{~0ull}), 0u);
   // The pin holds the pre-compaction generation: its files are deferred,
   // not deleted, so the pinned query still answers — bit-identically.
   EXPECT_GT(svc.deferred_gc_pending(), 0u);
@@ -528,7 +534,7 @@ TEST(ArchiveServiceFaults, FailedDeferredRemovalIsSurfacedNotFatal) {
   // Keep only the census: a held GetResult would pin the generation and
   // defer the GC this test wants to see fail.
   const std::uint64_t logs_before = svc.get(/*keep_analysis=*/true).analysis->summary().logs();
-  ASSERT_GT(svc.compact(~0ull), 0u);
+  ASSERT_GT(svc.compact(archive::SizePolicy{~0ull}), 0u);
 
   // Every segment removal failed; the errors are recorded, the service
   // keeps serving the new generation correctly.

@@ -1,7 +1,7 @@
 // Continuous-mode unit tests (DESIGN.md §14): window-id arithmetic, the
 // StreamIngester's cut rules (boundary, log cap, byte cap, late arrivals),
 // manifest v2 window-metadata round-trips, the leveled compaction planner,
-// and compact_range — plus the bounded-growth property the policy promises:
+// and the compaction executor — plus the bounded-growth property the policy promises:
 // live partitions stay sub-linear in windows while every query answer stays
 // bit-identical across the merges ("fixed cuts → fixed bits").
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "darshan/runtime.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/vfs.hpp"
 
 namespace mlio::archive {
 namespace {
@@ -292,39 +293,39 @@ Manifest levels(std::initializer_list<std::uint32_t> ls) {
 
 TEST(PlanLeveled, MergesLeftmostFullRunAtLowestLevel) {
   const LeveledPolicy pol{3};
-  EXPECT_FALSE(plan_leveled(levels({}), pol).has_value());
-  EXPECT_FALSE(plan_leveled(levels({0, 0}), pol).has_value());
-  EXPECT_FALSE(plan_leveled(levels({0, 0, 1, 0}), pol).has_value());  // runs broken
+  EXPECT_TRUE(plan_leveled(levels({}), pol).empty());
+  EXPECT_TRUE(plan_leveled(levels({0, 0}), pol).empty());
+  EXPECT_TRUE(plan_leveled(levels({0, 0, 1, 0}), pol).empty());  // runs broken
 
   const auto exact = plan_leveled(levels({0, 0, 0}), pol);
-  ASSERT_TRUE(exact.has_value());
-  EXPECT_EQ(exact->first, 0u);
-  EXPECT_EQ(exact->count, 3u);
-  EXPECT_EQ(exact->target_level, 1u);
+  ASSERT_EQ(exact.size(), 1u);
+  EXPECT_EQ(exact[0].first, 0u);
+  EXPECT_EQ(exact[0].count, 3u);
+  EXPECT_EQ(exact[0].target_level, 1u);
 
   // Oldest `fanout` of a longer run: time order is preserved.
   const auto oldest = plan_leveled(levels({0, 0, 0, 0, 0}), pol);
-  ASSERT_TRUE(oldest.has_value());
-  EXPECT_EQ(oldest->first, 0u);
-  EXPECT_EQ(oldest->count, 3u);
+  ASSERT_EQ(oldest.size(), 1u);
+  EXPECT_EQ(oldest[0].first, 0u);
+  EXPECT_EQ(oldest[0].count, 3u);
 
   // Lowest level wins even when a higher-level run comes first.
   const auto lowest = plan_leveled(levels({1, 1, 1, 0, 0, 0}), pol);
-  ASSERT_TRUE(lowest.has_value());
-  EXPECT_EQ(lowest->first, 3u);
-  EXPECT_EQ(lowest->target_level, 1u);
+  ASSERT_EQ(lowest.size(), 1u);
+  EXPECT_EQ(lowest[0].first, 3u);
+  EXPECT_EQ(lowest[0].target_level, 1u);
 
   // Leftmost among equal-level runs.
   const auto leftmost = plan_leveled(levels({0, 0, 0, 1, 0, 0, 0}), pol);
-  ASSERT_TRUE(leftmost.has_value());
-  EXPECT_EQ(leftmost->first, 0u);
+  ASSERT_EQ(leftmost.size(), 1u);
+  EXPECT_EQ(leftmost[0].first, 0u);
 }
 
 TEST(PlanLeveled, HostileLevelClampsInsteadOfWrapping) {
   const std::uint32_t top = std::numeric_limits<std::uint32_t>::max();
   const auto plan = plan_leveled(levels({top, top}), LeveledPolicy{2});
-  ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->target_level, top);  // clamped, not wrapped to 0
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan[0].target_level, top);  // clamped, not wrapped to 0
 }
 
 TEST(PlanLeveled, RejectsDegenerateFanout) {
@@ -333,28 +334,38 @@ TEST(PlanLeveled, RejectsDegenerateFanout) {
 }
 
 // ---------------------------------------------------------------------------
-// compact_range and compact_leveled against a real archive.
+// The compaction executor against a real archive.
 
 TEST(CompactRange, ValidatesItsRange) {
-  const fs::path dir = fresh_dir("mlio_compact_range_args");
-  Archive ar = Archive::create(dir);
+  const fs::path dir = fresh_dir("mlio_compact_args");
+  util::FaultVfs vfs;  // no faults planned: it only counts file ops
+  Archive ar = Archive::create(dir, vfs);
   StreamOptions opts;
   opts.window_seconds = 100;
   StreamIngester ing(ar, opts);
-  for (std::uint64_t i = 0; i < 3; ++i) {
+  for (std::uint64_t i = 0; i < 4; ++i) {
     const Frame f = make_frame(i + 1, static_cast<std::int64_t>(i) * 100);
     (void)ing.append(f.job, f.bytes);
   }
   (void)ing.flush();
-  ASSERT_EQ(ar.manifest().partitions.size(), 3u);
+  ASSERT_EQ(ar.manifest().partitions.size(), 4u);
 
-  EXPECT_THROW((void)ar.compact_range(0, 1, 1), util::ConfigError);  // count < 2
-  EXPECT_THROW((void)ar.compact_range(2, 2, 1), util::ConfigError);  // runs past end
-  EXPECT_THROW((void)ar.compact_range(3, 2, 1), util::ConfigError);  // first out of range
+  const auto compact = [&](std::initializer_list<CompactionPlan> runs) {
+    return ar.compact(std::vector<CompactionPlan>(runs));
+  };
+  const std::uint64_t ops = vfs.op_count();
+  EXPECT_THROW((void)compact({{0, 1, 1}}), util::ConfigError);  // count < 2
+  EXPECT_THROW((void)compact({{3, 2, 1}}), util::ConfigError);  // runs past end
+  EXPECT_THROW((void)compact({{4, 2, 1}}), util::ConfigError);  // first out of range
+  EXPECT_THROW((void)compact({{2, 2, 1}, {0, 2, 1}}), util::ConfigError);  // unsorted
+  EXPECT_THROW((void)compact({{0, 2, 1}, {1, 2, 1}}), util::ConfigError);  // overlapping
+  EXPECT_TRUE(compact({}).empty());  // empty plan: nothing to merge
+  EXPECT_EQ(vfs.op_count(), ops);    // rejected and empty plans touch no file
+  EXPECT_EQ(ar.manifest().partitions.size(), 4u);
 }
 
 TEST(CompactLeveled, MergeUnionsWindowsBumpsLevelAndKeepsBitsFixed) {
-  const fs::path dir = fresh_dir("mlio_compact_leveled");
+  const fs::path dir = fresh_dir("mlio_leveled_merge");
   Archive ar = Archive::create(dir);
   StreamOptions opts;
   opts.window_seconds = 100;
@@ -367,18 +378,19 @@ TEST(CompactLeveled, MergeUnionsWindowsBumpsLevelAndKeepsBitsFixed) {
   ASSERT_EQ(ar.manifest().partitions.size(), 4u);
   const std::vector<std::byte> before = state(ar);
 
-  const std::optional<PartitionInfo> merged = compact_leveled(ar, LeveledPolicy{2});
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->window_min, 1u);
-  EXPECT_EQ(merged->window_max, 2u);  // union of the two oldest windows
-  EXPECT_EQ(merged->level, 1u);
-  EXPECT_EQ(merged->log_count, 2u);
+  const std::vector<PartitionInfo> merged =
+      ar.compact(plan_leveled(ar.manifest(), LeveledPolicy{2}));
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].window_min, 1u);
+  EXPECT_EQ(merged[0].window_max, 2u);  // union of the two oldest windows
+  EXPECT_EQ(merged[0].level, 1u);
+  EXPECT_EQ(merged[0].log_count, 2u);
   ASSERT_EQ(ar.manifest().partitions.size(), 3u);
   EXPECT_EQ(state(ar), before);  // fixed cuts -> fixed bits, across the merge
   EXPECT_TRUE(ar.verify(true).ok());
 
   // Drain to the fixed point: every further merge preserves the bits.
-  while (compact_leveled(ar, LeveledPolicy{2}).has_value()) {
+  while (!ar.compact(plan_leveled(ar.manifest(), LeveledPolicy{2})).empty()) {
     EXPECT_EQ(state(ar), before);
     EXPECT_TRUE(ar.verify(true).ok());
   }
@@ -401,10 +413,11 @@ TEST(CompactLeveled, MergeSwallowingBatchPartitionExtendsIntoUnwindowedHistory) 
   (void)ing.flush();
 
   const std::vector<std::byte> before = state(ar);
-  const std::optional<PartitionInfo> merged = compact_leveled(ar, LeveledPolicy{2});
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->window_min, 0u);  // 0 dominates: reaches into batch history
-  EXPECT_EQ(merged->window_max, 3u);
+  const std::vector<PartitionInfo> merged =
+      ar.compact(plan_leveled(ar.manifest(), LeveledPolicy{2}));
+  ASSERT_EQ(merged.size(), 1u);
+  EXPECT_EQ(merged[0].window_min, 0u);  // 0 dominates: reaches into batch history
+  EXPECT_EQ(merged[0].window_max, 3u);
   EXPECT_EQ(state(ar), before);
 }
 
@@ -423,11 +436,11 @@ TEST(CompactLeveled, LivePartitionCountStaysSubLinearInWindows) {
     (void)ing.append(f.job, f.bytes);
     // Compact to the fixed point after every publish, like the background
     // compactor drains cascades.
-    while (compact_leveled(ar, pol).has_value()) {
+    while (!ar.compact(plan_leveled(ar.manifest(), pol)).empty()) {
     }
   }
   (void)ing.flush();
-  while (compact_leveled(ar, pol).has_value()) {
+  while (!ar.compact(plan_leveled(ar.manifest(), pol)).empty()) {
   }
 
   // 64 windows at fanout 4: <= (fanout - 1) partitions per level across
